@@ -19,7 +19,9 @@ from .errors import (
     InfiniteIndex,
     NotAPoint,
     NotComplete,
+    NotNested,
     NotPrimitive,
+    ParseError,
     ZeroVector,
 )
 from .lattices import (
@@ -29,6 +31,7 @@ from .lattices import (
     identity_matrix,
     is_primitive,
     mod1,
+    pairing,
     saturate,
     solve_torsion_system,
 )
@@ -63,7 +66,9 @@ class Arrangement:
             if not is_primitive(ch.vector):
                 raise NotPrimitive(f"character {ch.vector} is not primitive")
             if ch in seen:
-                raise ValueError(f"duplicate character {ch}")
+                raise ParseError(
+                    f"duplicate character {list(ch.vector)} ; {ch.value}"
+                )
             seen.add(ch)
         span = Sublattice.from_rows(self.rank, [ch.vector for ch in self.characters])
         if span.rank < self.rank:
@@ -133,7 +138,7 @@ class Layer:
         c = self.lattice.coords(vector)
         if c is None:
             return None
-        return mod1(sum(q * v for q, v in zip(c, self.values)))
+        return pairing(c, self.values)
 
     def contains(self, other: "Layer") -> bool:
         """True iff `other` is a subvariety of `self`."""
@@ -157,6 +162,18 @@ class Layer:
         return f"Layer(basis={self.lattice.basis}, values={self.values})"
 
 
+def top_member(chain) -> Layer:
+    """The member of a chain of layers that contains all the others.
+
+    Layers are connected, so strict containment lowers the dimension and
+    the top of a chain is its member of largest dimension.
+    """
+    top = max(chain, key=lambda m: m.dim)
+    if not all(top.contains(m) for m in chain):
+        raise NotNested(f"the layers {list(chain)} do not form a chain")
+    return top
+
+
 def _support(arr: Arrangement, lattice: Sublattice, values) -> tuple[int, ...]:
     probe = Layer(lattice, tuple(values))
     return tuple(
@@ -171,25 +188,26 @@ def make_layer(arr: Arrangement, lattice: Sublattice, values) -> Layer:
     return Layer(lattice, values, _support(arr, lattice, values))
 
 
+def components(arr: Arrangement, rows, values) -> list[Layer]:
+    """The connected components of {t : t^row = exp(2 pi i value)}."""
+    rows = tuple(rows)
+    sol = solve_torsion_system(rows, tuple(values))
+    if sol is None:
+        return []
+    lattice = saturate(Sublattice.from_rows(arr.rank, rows))
+    return [
+        make_layer(arr, lattice, [pairing(row, phi) for row in lattice.basis])
+        for phi in sol.representatives
+    ]
+
+
 def layer_components(arr: Arrangement, subset) -> list[Layer]:
     """The connected components cut out by the given characters."""
     subset = sorted(set(subset))
     if not subset:
         raise EmptySubset("a nonempty character subset is required")
-    mat = tuple(arr.characters[i].vector for i in subset)
-    rhs = tuple(arr.characters[i].value for i in subset)
-    sol = solve_torsion_system(mat, rhs)
-    if sol is None:
-        return []
-    lattice = saturate(Sublattice.from_rows(arr.rank, mat))
-    out = []
-    for phi in sol.representatives:
-        values = tuple(
-            mod1(sum(Fraction(x) * p for x, p in zip(row, phi)))
-            for row in lattice.basis
-        )
-        out.append(make_layer(arr, lattice, values))
-    return out
+    chars = [arr.characters[i] for i in subset]
+    return components(arr, [ch.vector for ch in chars], [ch.value for ch in chars])
 
 
 @dataclass(frozen=True)
@@ -220,7 +238,7 @@ class LayerPoset:
         return edges
 
     def __contains__(self, layer: Layer) -> bool:
-        return any(l == layer for l in self.layers)
+        return layer in self.layers
 
 
 def build_poset(arr: Arrangement) -> LayerPoset:
@@ -285,11 +303,7 @@ def layer_from_complete_set(arr: Arrangement, p: Layer, subset) -> Layer:
     lattice = saturate(
         Sublattice.from_rows(arr.rank, [arr.characters[i].vector for i in subset])
     )
-    phi = p.coordinates
-    values = tuple(
-        mod1(sum(Fraction(x) * q for x, q in zip(row, phi))) for row in lattice.basis
-    )
-    return make_layer(arr, lattice, values)
+    return make_layer(arr, lattice, [pairing(row, p.coordinates) for row in lattice.basis])
 
 
 def point_layer(arr: Arrangement, coordinates) -> Layer:

@@ -19,22 +19,25 @@ from fractions import Fraction
 
 from .errors import (
     InvalidGerm,
+    NotAdapted,
     NotAPoint,
     NotInBuildingSet,
     NotInOverlap,
     OnDivisor,
     OutsideDomain,
 )
-from .arrangement import Arrangement, Layer, LayerPoset, layer_from_complete_set
+from .arrangement import Layer, LayerPoset, layer_from_complete_set, top_member
 from .decomposition import BuildingSet, factors
 from .lattices import (
     Sublattice,
     Vector,
+    determinant,
     express_in_rows,
     hermite_basis,
     intersect,
     invert_unimodular,
     mod1,
+    pairing,
     smith_normal_form,
     vec_mat,
 )
@@ -57,23 +60,9 @@ def maximal_constant_member(members, phi, vector) -> Layer | None:
 
     Returns None when the character is not constant on any member.
     """
-    target = mod1(sum(Fraction(x) * q for x, q in zip(vector, phi)))
+    target = pairing(vector, phi)
     hits = [m for m in members if m.value_of(vector) == target]
-    if not hits:
-        return None
-    top = max(hits, key=lambda m: sum(m.contains(o) for o in hits))
-    assert all(top.contains(o) for o in hits)
-    return top
-
-
-def _reduce_mod_lattice(vector, lattice: Sublattice) -> Vector:
-    """Canonical representative of `vector` modulo the sublattice."""
-    v = list(vector)
-    for row in lattice.basis:
-        p = next(j for j, x in enumerate(row) if x)
-        q = v[p] // row[p]
-        v = [x - q * y for x, y in zip(v, row)]
-    return tuple(v)
+    return top_member(hits) if hits else None
 
 
 def adapted_basis_rows(members) -> list[Vector]:
@@ -117,7 +106,7 @@ def adapted_basis_rows(members) -> list[Vector]:
         combo = express_in_rows(stacked, ambient)
         assert combo is not None, "quotient generator must lift"
         lift = vec_mat(combo[: c.lattice.rank], c.lattice.basis)
-        new_rows.append(_reduce_mod_lattice(lift, overlap))
+        new_rows.append(overlap.reduce(lift)[1])
     return rows_rest + new_rows
 
 
@@ -184,32 +173,25 @@ class Chart:
     constants: tuple[Fraction, ...] = field(init=False)
     below: tuple[tuple[int, ...], ...] = field(init=False)
     succ: tuple[int | None, ...] = field(init=False)
+    _above: tuple[tuple[int, ...], ...] = field(init=False)
     _basis_inv: tuple = field(init=False)
     _functions: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         phi = self.point_coordinates
-        self.constants = tuple(
-            mod1(sum(Fraction(x) * q for x, q in zip(row, phi)))
-            for row in self.basis
+        self.constants = tuple(pairing(row, phi) for row in self.basis)
+        members = self.members
+        self.below = tuple(
+            tuple(j for j, d in enumerate(members) if c.contains(d)) for c in members
         )
-        below = []
+        self._above = tuple(
+            tuple(j for j, inside in enumerate(self.below) if i in inside)
+            for i in range(self.rank)
+        )
         succ = []
-        for i, c in enumerate(self.members):
-            inside = [j for j, d in enumerate(self.members) if c.contains(d)]
-            below.append(tuple(inside))
-            proper = [j for j in inside if j != i]
-            if proper:
-                top = max(
-                    proper,
-                    key=lambda j: sum(
-                        self.members[j].contains(self.members[k]) for k in proper
-                    ),
-                )
-                succ.append(top)
-            else:
-                succ.append(None)
-        self.below = tuple(below)
+        for i, inside in enumerate(self.below):
+            proper = [members[j] for j in inside if j != i]
+            succ.append(members.index(top_member(proper)) if proper else None)
         self.succ = tuple(succ)
         self._basis_inv = invert_unimodular(self.basis)
 
@@ -290,9 +272,7 @@ class Chart:
         return self._functions[key]
 
     def _expand(self, vector, value) -> ChartFunction:
-        phi = self.point_coordinates
-        at_p = mod1(sum(Fraction(x) * q for x, q in zip(vector, phi)))
-        if at_p != value:
+        if pairing(vector, self.point_coordinates) != value:
             raise OutsideDomain(
                 "the character does not pass through the chart center"
             )
@@ -340,9 +320,7 @@ class Chart:
 
     def below_inverse(self, i) -> tuple[int, ...]:
         """Indices of members containing member i (including itself)."""
-        return tuple(
-            j for j in range(self.rank) if self.members[j].contains(self.members[i])
-        )
+        return self._above[i]
 
     # -- membership -----------------------------------------------------
 
@@ -409,27 +387,30 @@ def build_chart(
     assignment: dict[int, Vector] = {}
     for row in basis_rows:
         layer = maximal_constant_member(members, phi, row)
-        assert layer is not None, "adapted basis vector must be constant somewhere"
+        if layer is None:
+            raise NotAdapted(f"basis vector {list(row)} is constant on no member")
         idx = members.index(layer)
-        assert idx not in assignment, "assignment must be a bijection"
+        if idx in assignment:
+            raise NotAdapted(f"two basis vectors are assigned to member {layer}")
         assignment[idx] = tuple(row)
-    assert len(assignment) == len(members)
+    if len(assignment) != len(members):
+        raise NotAdapted(
+            f"{len(assignment)} basis vectors for {len(members)} members"
+        )
     basis = tuple(assignment[i] for i in range(len(members)))
+    # Chart inverts the basis, so unimodularity is checked first
+    if abs(determinant(basis)) != 1:
+        raise NotAdapted("the basis is not a basis of the character lattice")
     chart = Chart(poset, nested_set, members, basis, tolerance)
     _check_adapted(chart)
     return chart
 
 
 def _check_adapted(chart: Chart):
-    n = chart.rank
     for i, member in enumerate(chart.members):
         rows = [chart.basis[j] for j in chart.below_inverse(i)]
-        assert (
-            hermite_basis(rows) == member.lattice.basis
-        ), "basis is not adapted to the nested set"
-    from .lattices import determinant
-
-    assert abs(determinant(chart.basis)) == 1
+        if hermite_basis(rows) != member.lattice.basis:
+            raise NotAdapted(f"the basis is not adapted to member {member}")
 
 
 def atlas(
@@ -496,8 +477,7 @@ def _transition_on_divisor(source, target, z, t):
         # both characters vanish towards the divisor: factor through the
         # source chart and cancel common coordinate monomials exactly
         for vec, val in ((num_vec, num_val), (target.basis[j], target.constants[j])):
-            at_p = mod1(sum(Fraction(x) * q for x, q in zip(vec, phi)))
-            if at_p != mod1(val):
+            if pairing(vec, phi) != mod1(val):
                 raise NotInOverlap(
                     "a vanishing target character misses the source center"
                 )

@@ -28,11 +28,7 @@ from .arrangement import (
     build_poset,
     normalize,
 )
-from .decomposition import (
-    irreducible_layers,
-    is_c_irreducible,
-    is_z_irreducible,
-)
+from .decomposition import irreducible_layers, is_c_irreducible
 from .nested import NestedSet, enumerate_maximal, is_nested, center as nested_center
 from .charts import (
     DEFAULT_TOL,
@@ -104,6 +100,7 @@ def parse_file(path: str, no_normalize: bool = False) -> tuple[Arrangement, str]
         if len(vec) != rank:
             raise ParseError(f"line {lineno}: vector length != rank {rank}")
     if no_normalize:
+        chars = []
         for lineno, vec, r in raw:
             if not any(vec):
                 raise ParseError(f"line {lineno}: zero character {list(vec)}")
@@ -112,7 +109,14 @@ def parse_file(path: str, no_normalize: bool = False) -> tuple[Arrangement, str]
                     f"line {lineno}: character {list(vec)} is not primitive "
                     "(--no-normalize given)"
                 )
-        arr = Arrangement(rank, tuple(WeightedCharacter(v, r) for _, v, r in raw))
+            ch = WeightedCharacter(vec, r)
+            if ch in chars:
+                raise ParseError(
+                    f"line {lineno}: duplicate character {list(vec)} ; {ch.value} "
+                    "(--no-normalize given)"
+                )
+            chars.append(ch)
+        arr = Arrangement(rank, tuple(chars))
     else:
         arr = normalize(rank, [(v, r) for _, v, r in raw])
     return arr, name
@@ -173,10 +177,10 @@ def header(arr: Arrangement, name: str, poset) -> tuple[list[str], dict]:
 
 
 def _lid(poset, layer) -> str:
-    for i, l in enumerate(poset.layers):
-        if l == layer:
-            return f"L{i}"
-    raise ToricError(f"layer {layer} not in poset")
+    try:
+        return f"L{poset.layers.index(layer)}"
+    except ValueError:
+        raise ToricError(f"layer {layer} not in poset") from None
 
 
 def _layer_by_id(poset, text: str):
@@ -226,9 +230,8 @@ def cmd_irreducible(poset, args):
     lines = [f"building set ({len(building.members)} members):"]
     doc = []
     for layer in poset.layers:
-        vecs = [arr.characters[i].vector for i in layer.support]
-        zirr = is_z_irreducible(vecs)
-        cirr = is_c_irreducible(vecs)
+        zirr = layer in building
+        cirr = is_c_irreducible([arr.characters[i].vector for i in layer.support])
         mark = "member" if zirr else "-"
         lines.append(
             f"  {_lid(poset, layer)}: Z-irreducible={zirr} "

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidBuildingSet, InvalidPartition, NotInPoset
-from .arrangement import Arrangement, Layer, LayerPoset, layer_from_complete_set
+from .arrangement import Layer, LayerPoset, complete_subsets
 from .lattices import Sublattice, saturate
 
 Partition = tuple[tuple[int, ...], ...]
@@ -142,8 +142,15 @@ class BuildingSet:
     def members_through(self, p: Layer) -> list[Layer]:
         return [m for m in self.members if m.contains(p)]
 
+    def decomposition_of(self, p: Layer, flat) -> set[tuple[int, ...]]:
+        """Supports of the maximal members through `p` whose support lies in `flat`."""
+        flat = set(flat)
+        inside = [set(m.support) for m in self.members_through(p)]
+        inside = [s for s in inside if s <= flat]
+        return {tuple(sorted(s)) for s in inside if not any(s < t for t in inside)}
+
     def __contains__(self, layer: Layer) -> bool:
-        return any(m == layer for m in self.members)
+        return layer in self.members
 
 
 def irreducible_layers(poset: LayerPoset) -> BuildingSet:
@@ -159,8 +166,6 @@ def irreducible_layers(poset: LayerPoset) -> BuildingSet:
 
 def custom_building_set(poset: LayerPoset, members) -> BuildingSet:
     """A user-chosen building set; the defining property is validated."""
-    from .arrangement import complete_subsets  # local to avoid cycle noise
-
     arr = poset.arrangement
     members = tuple(sorted(set(members), key=Layer.key))
     for m in members:
@@ -168,17 +173,10 @@ def custom_building_set(poset: LayerPoset, members) -> BuildingSet:
             raise NotInPoset(f"{m} is not a layer of the arrangement")
     bs = BuildingSet(members, "custom")
     for p in poset.points:
-        local = [m for m in members if m.contains(p)]
         for flat in complete_subsets(arr, p):
             if not flat:
                 continue
-            inside = [
-                set(m.support) for m in local if set(m.support) <= set(flat)
-            ]
-            maximal = [
-                s for s in inside if not any(s < t for t in inside)
-            ]
-            blocks = {tuple(sorted(s)) for s in maximal}
+            blocks = bs.decomposition_of(p, flat)
             flat_vectors = [arr.characters[i].vector for i in flat]
             pos = {i: k for k, i in enumerate(flat)}
             if sorted(i for b in blocks for i in b) != sorted(flat):

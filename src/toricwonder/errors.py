@@ -65,6 +65,10 @@ class OutsideDomain(ToricError):
     pass
 
 
+class NotAdapted(ToricError):
+    """An explicit chart basis is not adapted to its nested set."""
+
+
 class OnDivisor(ToricError):
     pass
 

@@ -278,19 +278,26 @@ class Sublattice:
     def _pivots(self):
         return [next(j for j, x in enumerate(row) if x) for row in self.basis]
 
-    def coords(self, vector) -> tuple[int, ...] | None:
-        """Integer coordinates of `vector` in the basis, or None."""
+    def reduce(self, vector) -> tuple[tuple[int, ...], Vector]:
+        """Floor-divide `vector` down the pivots: (quotients, remainder).
+
+        The remainder is the canonical representative of `vector` modulo
+        the lattice; it is zero iff `vector` lies in the lattice, and then
+        the quotients are its coordinates.
+        """
         v = list(vector)
         out = []
         for row, p in zip(self.basis, self._pivots()):
-            if v[p] % row[p] != 0:
-                return None
             q = v[p] // row[p]
-            v = [x - q * y for x, y in zip(v, row)]
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
             out.append(q)
-        if any(v):
-            return None
-        return tuple(out)
+        return tuple(out), tuple(v)
+
+    def coords(self, vector) -> tuple[int, ...] | None:
+        """Integer coordinates of `vector` in the basis, or None."""
+        out, rest = self.reduce(vector)
+        return None if any(rest) else out
 
     def rational_coords(self, vector) -> tuple[Fraction, ...] | None:
         """Coordinates of `vector` in the rational span, or None."""
@@ -393,6 +400,11 @@ def express_in_rows(rows: Matrix, target) -> tuple[int, ...] | None:
 
 def mod1(q: Fraction) -> Fraction:
     return Fraction(q) % 1
+
+
+def pairing(vector, phi) -> Fraction:
+    """The value mod 1 of the integer character `vector` at the torus point `phi`."""
+    return mod1(sum(x * q for x, q in zip(vector, phi) if x))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import IsMinimal, NotAPoint, NotInBuildingSet, NotNested
-from .arrangement import Arrangement, Layer, LayerPoset, is_complete, make_layer
+from .errors import IsMinimal, NotAPoint, NotContained, NotInBuildingSet, NotNested
+from .arrangement import (
+    Arrangement,
+    Layer,
+    LayerPoset,
+    components,
+    is_complete,
+    top_member,
+)
 from .decomposition import BuildingSet
-from .lattices import Sublattice, mod1, saturate, solve_torsion_system
 
 
 @dataclass(frozen=True)
@@ -55,34 +60,11 @@ class NestedSet:
 
 def intersection_components(arr: Arrangement, members) -> list[Layer]:
     """Connected components of the intersection of the given layers."""
-    rows = []
-    rhs = []
-    for m in members:
-        rows.extend(m.lattice.basis)
-        rhs.extend(m.values)
-    sol = solve_torsion_system(tuple(rows), tuple(rhs))
-    if sol is None:
-        return []
-    lattice = saturate(Sublattice.from_rows(arr.rank, rows))
-    out = []
-    for phi in sol.representatives:
-        values = tuple(
-            mod1(sum(Fraction(x) * p for x, p in zip(row, phi)))
-            for row in lattice.basis
-        )
-        out.append(make_layer(arr, lattice, values))
-    return out
-
-
-def _decomposition_of_flat(building: BuildingSet, p: Layer, flat: set) -> set | None:
-    """Supports of the maximal localized members inside `flat`, or None."""
-    local = [set(m.support) for m in building.members_through(p)]
-    inside = [s for s in local if s <= flat]
-    maximal = [s for s in inside if not any(s < t for t in inside)]
-    covered = set().union(*maximal) if maximal else set()
-    if covered != flat:
-        return None
-    return {tuple(sorted(s)) for s in maximal}
+    return components(
+        arr,
+        [row for m in members for row in m.lattice.basis],
+        [v for m in members for v in m.values],
+    )
 
 
 def is_nested(members, building: BuildingSet, poset: LayerPoset):
@@ -116,8 +98,10 @@ def _nested_at_point(members, building, arr, p) -> bool:
             union = set().union(*(set(m.support) for m in combo))
             if not is_complete(arr, p, union):
                 return False
-            dec = _decomposition_of_flat(building, p, union)
-            if dec != {tuple(sorted(m.support)) for m in combo}:
+            # the combo's supports cover `union`, so equality checks the cover too
+            if building.decomposition_of(p, union) != {
+                tuple(sorted(m.support)) for m in combo
+            }:
                 return False
     return True
 
@@ -180,10 +164,9 @@ def enumerate_all_maximal(poset: LayerPoset, building: BuildingSet) -> list[Nest
 def core(nested_set: NestedSet, layer: Layer) -> Layer:
     """The maximum member contained in `layer`; exists when the center is."""
     inside = [m for m in nested_set.members if layer.contains(m)]
-    assert inside, "no member contained in the given layer"
-    top = max(inside, key=lambda m: sum(m.contains(o) for o in inside))
-    assert all(top.contains(o) for o in inside)
-    return top
+    if not inside:
+        raise NotContained(f"no member of the nested set lies inside {layer}")
+    return top_member(inside)
 
 
 def successor(nested_set: NestedSet, layer: Layer) -> Layer:
@@ -193,6 +176,4 @@ def successor(nested_set: NestedSet, layer: Layer) -> Layer:
     ]
     if not inside:
         raise IsMinimal(f"{layer} is minimal in the nested set")
-    top = max(inside, key=lambda m: sum(m.contains(o) for o in inside))
-    assert all(top.contains(o) for o in inside)
-    return top
+    return top_member(inside)

@@ -7,6 +7,7 @@ import pytest
 from toricwonder import (
     CurveGerm,
     InvalidGerm,
+    NotAdapted,
     NotInBuildingSet,
     OnDivisor,
     OutsideDomain,
@@ -82,6 +83,25 @@ class TestAdaptedBasis:
         sets = enumerate_maximal(poset, p3, building)
         chart = build_chart(poset, sets[0])
         assert set(chart.basis) == {(1, 0), (0, 1)}
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 0), (0, 1)],  # both vectors belong to the point member
+            [(1, 1), (2, 0)],  # determinant -2
+            [(1, 1)],  # too few vectors
+        ],
+    )
+    def test_rejects_unadapted_basis(self, two_lines, rows):
+        arr, poset, building = two_lines
+        with pytest.raises(NotAdapted):
+            chart_with(poset, building, point_layer(arr, (0, 0)), ((1, 1),), rows)
+
+    def test_rejects_vector_constant_on_no_member(self, doubled_square):
+        arr, poset, building = doubled_square
+        s = enumerate_maximal(poset, point_layer(arr, (0, F(1, 2))), building)[0]
+        with pytest.raises(NotAdapted):
+            build_chart(poset, s, basis_rows=[(1, 0), (1, 1)])
 
     def test_rank_one(self):
         from toricwonder import normalize

@@ -1,9 +1,13 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from toricwonder import ParseError
+from toricwonder import Arrangement, ParseError, ToricError, WeightedCharacter
 from toricwonder.cli import main, parse_file
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_data"
 
 DOUBLED_SQUARE = """\
 # doubled square
@@ -61,6 +65,18 @@ class TestParseFile:
     def test_no_normalize_rejects(self, doubled_square_file):
         with pytest.raises(ParseError, match=r"\[2, 0\]"):
             parse_file(doubled_square_file, no_normalize=True)
+
+    def test_no_normalize_rejects_repeat(self, tmp_path, capsys):
+        # constants are read mod 1, so line 4 repeats line 2
+        path = tmp_path / "repeat.arr"
+        path.write_text("rank = 2\nchar = [1, 0] ; 0\nchar = [0, 1] ; 0\nchar = [1, 0] ; 1\n")
+        with pytest.raises(ParseError, match="line 4: duplicate character"):
+            parse_file(str(path), no_normalize=True)
+        assert main(["layers", str(path), "--no-normalize"]) == 1
+        assert "line 4" in capsys.readouterr().err
+        ch = WeightedCharacter((1, 0), 0)
+        with pytest.raises(ToricError):
+            Arrangement(2, (ch, WeightedCharacter((0, 1), 0), ch))
 
 
 class TestCommands:
@@ -131,3 +147,32 @@ class TestDeterminism:
         assert doc["command"] == "points"
         assert len(doc["points"]) == 2
         assert len(doc["header"]["layers"]) == 4
+
+
+# sha256 of stdout: the reports are byte-deterministic, so any change to
+# these digests is a change of output, not a refactor
+GOLDEN = [
+    ("two_lines", "layers", "89bc3f4ffc5bd071ea39eb21ab3029491c5b8b23162aa4c22c9d6339294d87ac"),
+    ("two_lines", "layers --json", "1e2e4bb97cf49a75d6fd3ebc92e1dcdc569048263b5a5868747e9fb9bb69c2ff"),
+    ("two_lines", "irreducible", "12aa910284552bb3e170b8654e173b93fe6bbabb09f37818a3ee1fb6bbe78fc2"),
+    ("two_lines", "irreducible --json", "198de3ac66ae0fa0f1d552783fe94a8e191f82ce581d0c143ee1fc49d0597cdd"),
+    ("two_lines", "nested --max", "23549964b464c22dcdc09918f6f5e9895c5f440a357884f3c190b8f3a636cd23"),
+    ("two_lines", "nested --max --json", "9a498c20890d890b93d17fb87d44c94953d0e20f3ff0a90ebc62a3a2e9c989fa"),
+    ("two_lines", "charts --verify --seed 42", "7e9abd8e7975e2052827fcfb5e3ca3140c84ba58e6a5e02bf2b15e69cddbbba0"),
+    ("two_lines", "charts --verify --seed 42 --json", "c95ebdd27e6b008d9efcb01d3192f00f55fadc8ad452eaa79f7471a7c40477b1"),
+    ("doubled_square", "layers", "f1de24f88ce89026dc11e2c0d750245e4664bee32fbecb050e8f27e46d963cf2"),
+    ("doubled_square", "layers --json", "5253fac785ee8657b624e2ec41439aac358d566bd36160f77dd3c8c025469f6d"),
+    ("doubled_square", "irreducible", "2220abad53e291bc9d8723f82aef95091d793b9718a8de5c44ce34e2f435346e"),
+    ("doubled_square", "irreducible --json", "4d7abec384821c5ac81d1e6fef58f167e9c16ed816563ea1703e92348649ef5a"),
+    ("doubled_square", "nested --max", "17b404f6ed4bc2569afe8d4953958e377baa115e86d3174928568100ebc72b6d"),
+    ("doubled_square", "nested --max --json", "9125cf608d357c622da120530eed88b7968c83e0ca4aa6a3be87fcbafbe7640e"),
+    ("doubled_square", "charts --verify --seed 42", "0e57dfe4237e8b6645df24eb0fe9c740541840f005cc13814dc52f5010fdaf04"),
+    ("doubled_square", "charts --verify --seed 42 --json", "02d2bf0b2ae09992396d30bc72ce28201ac01169eb2d30ab3e9c214ca705d2d8"),
+]
+
+
+@pytest.mark.parametrize("name, command, digest", GOLDEN)
+def test_golden_stdout(name, command, digest, capsys):
+    argv = command.split()
+    assert main([argv[0], str(EXAMPLES / f"{name}.arr"), *argv[1:]]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

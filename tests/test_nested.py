@@ -7,6 +7,7 @@ import pytest
 from toricwonder import (
     IsMinimal,
     NotAPoint,
+    NotContained,
     NotInBuildingSet,
     NotNested,
     build_poset,
@@ -19,6 +20,7 @@ from toricwonder import (
     point_layer,
     successor,
 )
+from toricwonder.arrangement import top_member
 from oracles import oracle_nested_family, random_arrangement
 
 F = Fraction
@@ -144,6 +146,17 @@ class TestCoreSuccessor:
         assert core(chart_set, h_inv) == p1
         assert core(chart_set, h_ts) == h_ts
         assert core(chart_set, p1) == p1
+        with pytest.raises(NotContained):
+            core(chart_set, point_layer(arr, (F(1, 2), F(1, 2))))
+
+    def test_top_member_needs_chain(self, two_lines):
+        arr, poset, _ = two_lines
+        p1 = point_layer(arr, (0, 0))
+        h_ts = hypersurface(poset, (1, 1))
+        h_inv = hypersurface(poset, (1, -1))
+        assert top_member([p1, h_ts]) == h_ts
+        with pytest.raises(NotNested):
+            top_member([p1, h_ts, h_inv])
 
     def test_successor_chain(self, two_lines):
         arr, poset, building = two_lines

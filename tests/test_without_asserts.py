@@ -1,0 +1,66 @@
+"""Behaviour must not depend on `assert`, which `python -O` strips."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# each case prints the name of the ToricError it raises
+CASES = """
+from fractions import Fraction
+from toricwonder import (
+    ToricError, build_chart, build_poset, core, enumerate_maximal,
+    irreducible_layers, normalize, point_layer,
+)
+
+arr = normalize(2, [((1, 1), 0), ((1, -1), 0)])
+poset = build_poset(arr)
+building = irreducible_layers(poset)
+sets = enumerate_maximal(poset, point_layer(arr, (0, 0)), building)
+s = next(x for x in sets if any(m.dim == 1 for m in x.members))
+elsewhere = point_layer(arr, (Fraction(1, 2), Fraction(1, 2)))
+for case in (
+    lambda: build_chart(poset, s, basis_rows=[(1, 0), (0, 1)]),
+    lambda: core(s, elsewhere),
+):
+    try:
+        case()
+    except ToricError as exc:
+        print(type(exc).__name__)
+"""
+
+
+def run(*args, optimize):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, *args],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_typed_errors(optimize):
+    proc = run("-c", CASES, optimize=optimize)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["NotAdapted", "NotContained"]
+
+
+def test_charts_verify_same_stdout():
+    argv = ("-m", "toricwonder.cli", "charts", "examples_data/two_lines.arr", "--verify", "--seed", "42")
+    plain = run(*argv, optimize=False)
+    stripped = run(*argv, optimize=True)
+    assert plain.returncode == stripped.returncode == 0, stripped.stderr
+    assert "PASS" in plain.stdout
+    assert stripped.stdout == plain.stdout
