@@ -188,17 +188,21 @@ def make_layer(arr: Arrangement, lattice: Sublattice, values) -> Layer:
     return Layer(lattice, values, _support(arr, lattice, values))
 
 
-def components(arr: Arrangement, rows, values) -> list[Layer]:
-    """The connected components of {t : t^row = exp(2 pi i value)}."""
-    rows = tuple(rows)
-    sol = solve_torsion_system(rows, tuple(values))
+def _cosets(rank: int, rows, values) -> list[tuple[Sublattice, tuple[Fraction, ...]]]:
+    """(lattice, values) of each component of {t : t^row = exp(2 pi i value)}."""
+    sol = solve_torsion_system(rows, values)
     if sol is None:
         return []
-    lattice = saturate(Sublattice.from_rows(arr.rank, rows))
+    lattice = saturate(Sublattice.from_rows(rank, rows))
     return [
-        make_layer(arr, lattice, [pairing(row, phi) for row in lattice.basis])
+        (lattice, tuple(pairing(row, phi) for row in lattice.basis))
         for phi in sol.representatives
     ]
+
+
+def components(arr: Arrangement, rows, values) -> list[Layer]:
+    """The connected components of {t : t^row = exp(2 pi i value)}."""
+    return [make_layer(arr, *coset) for coset in _cosets(arr.rank, rows, values)]
 
 
 def layer_components(arr: Arrangement, subset) -> list[Layer]:
@@ -212,11 +216,38 @@ def layer_components(arr: Arrangement, subset) -> list[Layer]:
 
 @dataclass(frozen=True)
 class LayerPoset:
+    """The layers in canonical order (`Layer.key`), numbered once.
+
+    `ids` maps a layer to its index; `below[j]` and `above[j]` are bitsets
+    of the indices of the layers strictly inside and containing `layers[j]`.
+    """
+
     arrangement: Arrangement
     layers: tuple[Layer, ...]
+    ids: dict = field(init=False, repr=False, compare=False)
+    below: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    above: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        indexed = list(enumerate(self.layers))
+        masks = [sum(1 << i for i in l.support) for l in self.layers]
+        below, above = [0] * len(indexed), [0] * len(indexed)
+        for (a, inner), (b, outer) in itertools.product(indexed, repeat=2):
+            # nested supports and a smaller dimension are necessary for
+            # containment, but under torsion not sufficient
+            if masks[b] & ~masks[a] or inner.dim >= outer.dim:
+                continue
+            if outer.contains(inner):
+                below[b] |= 1 << a
+                above[a] |= 1 << b
+        object.__setattr__(self, "ids", {l: i for i, l in indexed})
+        object.__setattr__(self, "below", tuple(below))
+        object.__setattr__(self, "above", tuple(above))
 
     def leq(self, a: Layer, b: Layer) -> bool:
         """a <= b iff a is contained in b."""
+        if a in self.ids and b in self.ids:
+            return a == b or bool(self.below[self.ids[b]] >> self.ids[a] & 1)
         return b.contains(a)
 
     @property
@@ -225,35 +256,40 @@ class LayerPoset:
         return tuple(sorted(pts, key=lambda l: l.values))
 
     def hasse_edges(self) -> list[tuple[Layer, Layer]]:
-        edges = []
-        for a, b in itertools.permutations(self.layers, 2):
-            if a is b or not self.leq(a, b):
-                continue
-            if any(
-                c is not a and c is not b and self.leq(a, c) and self.leq(c, b)
-                for c in self.layers
-            ):
-                continue
-            edges.append((a, b))
-        return edges
+        """Covering pairs (a, b): a < b with no layer strictly between."""
+        pairs = itertools.product(enumerate(self.layers), repeat=2)
+        return [
+            (a, b)
+            for (i, a), (j, b) in pairs
+            if self.above[i] >> j & 1 and self.above[i] & self.below[j] == 0
+        ]
 
     def __contains__(self, layer: Layer) -> bool:
-        return layer in self.layers
+        return layer in self.ids
 
 
 def build_poset(arr: Arrangement) -> LayerPoset:
-    """All layers over all nonempty character subsets, deduplicated.
+    """All layers: the hypersurfaces' components, closed under intersection.
 
-    The ambient torus itself is not a layer.
+    For each i in A, a component of X_A is a component of C cap H_i, where
+    C is the component of X_{A - i} holding it.  The ambient torus itself
+    is not a layer.
     """
-    found: dict[Layer, Layer] = {}
-    m = len(arr.characters)
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            for layer in layer_components(arr, subset):
-                found.setdefault(layer, layer)
-    layers = sorted(found, key=Layer.key)
-    return LayerPoset(arr, tuple(layers))
+    found = {l for i in range(len(arr.characters)) for l in layer_components(arr, [i])}
+    work = list(found)
+    while work:
+        layer = work.pop()
+        for i, ch in enumerate(arr.characters):
+            # H_i contains the layer, or misses it: the character is constant there
+            if i in layer.support or ch.vector in layer.lattice:
+                continue
+            rows = layer.lattice.basis + (ch.vector,)
+            for lattice, values in _cosets(arr.rank, rows, layer.values + (ch.value,)):
+                if Layer(lattice, values) not in found:
+                    new = Layer(lattice, values, _support(arr, lattice, values))
+                    found.add(new)
+                    work.append(new)
+    return LayerPoset(arr, tuple(sorted(found, key=Layer.key)))
 
 
 def points(arr: Arrangement) -> list[Layer]:

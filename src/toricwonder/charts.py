@@ -534,6 +534,12 @@ class CurveGerm:
             "jets",
             tuple(tuple(Fraction(x) for x in v) for v in self.jets),
         )
+        rank = self.point.lattice.ambient_rank
+        for v in self.jets:
+            if len(v) != rank:
+                raise InvalidGerm(
+                    f"jet ({', '.join(map(str, v))}) does not have length {rank}"
+                )
 
     def order(self, vector):
         """1-based order of vanishing of the character along the germ."""

@@ -44,11 +44,11 @@ from .lattices import is_primitive
 COMMANDS = ("layers", "points", "irreducible", "nested", "charts", "divisor", "curve")
 
 
-def parse_fraction(text: str, lineno: int) -> Fraction:
+def parse_fraction(text: str, where: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"line {lineno}: bad fraction {text!r}") from exc
+        raise ParseError(f"{where}: bad fraction {text!r}") from exc
 
 
 def parse_file(path: str, no_normalize: bool = False) -> tuple[Arrangement, str]:
@@ -89,7 +89,7 @@ def parse_file(path: str, no_normalize: bool = False) -> tuple[Arrangement, str]
                 vec = tuple(int(x) for x in vec_text[1:-1].split(","))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad vector {vec_text!r}") from exc
-            raw.append((lineno, vec, parse_fraction(frac_text, lineno)))
+            raw.append((lineno, vec, parse_fraction(frac_text, f"line {lineno}")))
         else:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
     if rank is None:
@@ -178,8 +178,8 @@ def header(arr: Arrangement, name: str, poset) -> tuple[list[str], dict]:
 
 def _lid(poset, layer) -> str:
     try:
-        return f"L{poset.layers.index(layer)}"
-    except ValueError:
+        return f"L{poset.ids[layer]}"
+    except KeyError:
         raise ToricError(f"layer {layer} not in poset") from None
 
 
@@ -364,7 +364,7 @@ def cmd_curve(poset, args):
     p = _layer_by_id(poset, args.point)
     jets = []
     for part in args.jets.split(";"):
-        jets.append(tuple(Fraction(x.strip()) for x in part.split(",")))
+        jets.append(tuple(parse_fraction(x, "--jets") for x in part.split(",")))
     germ = CurveGerm(p, tuple(jets))
     building = irreducible_layers(poset)
     chart, z_limit = chart_for_curve(poset, building, germ, tolerance=args.tolerance)

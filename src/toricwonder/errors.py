@@ -65,6 +65,10 @@ class OutsideDomain(ToricError):
     pass
 
 
+class NotUnimodular(ToricError):
+    """An integer matrix has no integer inverse."""
+
+
 class NotAdapted(ToricError):
     """An explicit chart basis is not adapted to its nested set."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import NotContained, NotSaturated, ZeroVector
+from .errors import NotContained, NotSaturated, NotUnimodular, ZeroVector
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -48,7 +48,9 @@ def invert_unimodular(mat: Matrix) -> Matrix:
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(mat)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise NotUnimodular(f"matrix {mat} is singular")
         a[col], a[piv] = a[piv], a[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
@@ -56,12 +58,9 @@ def invert_unimodular(mat: Matrix) -> Matrix:
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = tuple(tuple(int(x) for x in row[n:]) for row in a)
-    for row, orig in zip(out, a):
-        for x in orig[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return out
+    if any(x.denominator != 1 for row in a for x in row[n:]):
+        raise NotUnimodular(f"matrix {mat} is not unimodular")
+    return tuple(tuple(int(x) for x in row[n:]) for row in a)
 
 
 def determinant(mat: Matrix) -> Fraction:

@@ -1,8 +1,10 @@
 """Independent brute-force oracles and random instance generators.
 
-These deliberately avoid the library's own search strategies: the
-decomposition oracle scans every set partition, and the nestedness oracle
-enumerates every flag of layers and collects the factor sets.
+These deliberately avoid the library's own search strategies: the layer
+oracle solves the torsion system of every character subset, the Hasse
+oracle tests every triple of layers, the decomposition oracle scans every
+set partition, and the nestedness oracle enumerates every flag of layers
+and collects the factor sets.
 """
 
 import itertools
@@ -12,12 +14,39 @@ from math import gcd
 
 from toricwonder import (
     Arrangement,
+    Layer,
     WeightedCharacter,
     build_poset,
     factors,
     is_integral_decomposition,
+    layer_components,
     normalize,
 )
+
+
+def oracle_layers(arr):
+    """Every layer, in canonical order, from all 2^m - 1 character subsets."""
+    found = {}
+    m = len(arr.characters)
+    for size in range(1, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            for layer in layer_components(arr, subset):
+                found.setdefault(layer, layer)
+    return sorted(found, key=Layer.key)
+
+
+def oracle_hasse_edges(poset):
+    """Covering pairs by definition: a < b and no layer c with a < c < b."""
+
+    def below(a, b):
+        return a is not b and b.contains(a)
+
+    layers = poset.layers
+    return [
+        (a, b)
+        for a, b in itertools.permutations(layers, 2)
+        if below(a, b) and not any(below(a, c) and below(c, b) for c in layers)
+    ]
 
 
 def set_partitions(items):

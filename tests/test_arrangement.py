@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +22,37 @@ from toricwonder import (
     normalize,
     point_layer,
 )
-from oracles import random_arrangement
+from toricwonder import arrangement
+from toricwonder.cli import parse_file
+from oracles import oracle_hasse_edges, oracle_layers, random_arrangement
 
 F = Fraction
+
+ROOT = Path(__file__).resolve().parent.parent
+ARR_FILES = sorted((ROOT / "perfbench" / "families").glob("*.arr")) + sorted(
+    (ROOT / "examples_data").glob("*.arr")
+)
+ORACLE_CASES = [pytest.param(p, id=p.stem) for p in ARR_FILES] + [
+    pytest.param(seed, id=f"random-{seed}") for seed in range(30)
+]
+
+
+def _arrangement(case):
+    if isinstance(case, int):
+        return random_arrangement(random.Random(case))
+    return parse_file(str(case))[0]
+
+
+def root_system(kind, n):
+    """B_n or C_n in the e-basis, every root with the constant 0."""
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    scale = 1 if kind == "B" else 2
+    roots = [tuple(scale * x for x in e) for e in unit]
+    for i in range(n):
+        for j in range(i + 1, n):
+            roots.append(tuple(a + b for a, b in zip(unit[i], unit[j])))
+            roots.append(tuple(a - b for a, b in zip(unit[i], unit[j])))
+    return normalize(n, [(v, 0) for v in roots])
 
 
 class TestNormalize:
@@ -136,6 +165,43 @@ class TestPoset:
         # each point sits below both hypersurfaces
         assert len(edges) == 4
         assert all(a.dim == 0 and b.dim == 1 for a, b in edges)
+
+
+class TestPosetOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_brute_force(self, case):
+        poset = build_poset(_arrangement(case))
+        expected = oracle_layers(poset.arrangement)
+        assert [l.key() for l in poset.layers] == [l.key() for l in expected]
+        assert poset.hasse_edges() == oracle_hasse_edges(poset)
+        for a in poset.layers:
+            for b in poset.layers:
+                assert poset.leq(a, b) == b.contains(a)
+
+
+class TestPosetScale:
+    def test_closure_solve_count(self, monkeypatch):
+        arr = root_system("C", 3)
+        calls = []
+        solve = arrangement.solve_torsion_system
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(arrangement, "solve_torsion_system", counted)
+        poset = build_poset(arr)
+        m = len(arr.characters)
+        assert m == 12
+        # one solve per hypersurface, then at most one per (layer, character
+        # off the layer); far below the 2^12 - 1 subsets
+        assert len(calls) <= m + sum(m - len(l.support) for l in poset.layers)
+
+    def test_b4_layer_count(self):
+        poset = build_poset(root_system("B", 4))
+        assert len(poset.arrangement.characters) == 16
+        assert len(poset.layers) == 160
+        assert len(poset.points) == 12
 
 
 class TestLocalized:

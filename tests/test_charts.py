@@ -320,6 +320,12 @@ class TestCurveLifting:
         with pytest.raises(InvalidGerm):
             chart_for_curve(poset, building, CurveGerm(p1, ((F(1), F(1)),)))
 
+    @pytest.mark.parametrize("jets", [((F(1),),), ((F(1), F(1)), (F(1), F(0), F(2)))])
+    def test_jet_length_must_be_rank(self, two_lines, jets):
+        arr, _, _ = two_lines
+        with pytest.raises(InvalidGerm):
+            CurveGerm(point_layer(arr, (0, 0)), jets)
+
     def test_random_germs_land_in_chart(self, two_lines, doubled_square):
         rng = random.Random(31)
         for arr, poset, building in (two_lines, doubled_square):

@@ -123,6 +123,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "limit chart" in out
 
+    @pytest.mark.parametrize(
+        "jets, message",
+        [
+            ("1,x", "--jets: bad fraction 'x'"),
+            ("1,1/0", "bad fraction"),
+            ("1", "length 2"),
+        ],
+    )
+    def test_curve_rejects_bad_jets(self, two_lines_file, capsys, jets, message):
+        code = main(["curve", two_lines_file, "--point", "L2", "--jets", jets])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
     def test_unknown_command(self, two_lines_file, capsys):
         assert main(["frobnicate", two_lines_file]) == 1
 

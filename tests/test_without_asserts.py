@@ -16,6 +16,7 @@ from toricwonder import (
     ToricError, build_chart, build_poset, core, enumerate_maximal,
     irreducible_layers, normalize, point_layer,
 )
+from toricwonder.lattices import invert_unimodular
 
 arr = normalize(2, [((1, 1), 0), ((1, -1), 0)])
 poset = build_poset(arr)
@@ -26,6 +27,8 @@ elsewhere = point_layer(arr, (Fraction(1, 2), Fraction(1, 2)))
 for case in (
     lambda: build_chart(poset, s, basis_rows=[(1, 0), (0, 1)]),
     lambda: core(s, elsewhere),
+    lambda: invert_unimodular(((1, 1), (1, 1))),
+    lambda: invert_unimodular(((2, 0), (0, 1))),
 ):
     try:
         case()
@@ -54,7 +57,9 @@ def run(*args, optimize):
 def test_typed_errors(optimize):
     proc = run("-c", CASES, optimize=optimize)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["NotAdapted", "NotContained"]
+    assert proc.stdout.split() == [
+        "NotAdapted", "NotContained", "NotUnimodular", "NotUnimodular"
+    ]
 
 
 def test_charts_verify_same_stdout():
