@@ -216,38 +216,17 @@ def layer_components(arr: Arrangement, subset) -> list[Layer]:
 
 @dataclass(frozen=True)
 class LayerPoset:
-    """The layers in canonical order (`Layer.key`), numbered once.
-
-    `ids` maps a layer to its index; `below[j]` and `above[j]` are bitsets
-    of the indices of the layers strictly inside and containing `layers[j]`.
-    """
+    """The layers in canonical order (`Layer.key`); `ids` maps each to its index."""
 
     arrangement: Arrangement
     layers: tuple[Layer, ...]
     ids: dict = field(init=False, repr=False, compare=False)
-    below: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    above: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        indexed = list(enumerate(self.layers))
-        masks = [sum(1 << i for i in l.support) for l in self.layers]
-        below, above = [0] * len(indexed), [0] * len(indexed)
-        for (a, inner), (b, outer) in itertools.product(indexed, repeat=2):
-            # nested supports and a smaller dimension are necessary for
-            # containment, but under torsion not sufficient
-            if masks[b] & ~masks[a] or inner.dim >= outer.dim:
-                continue
-            if outer.contains(inner):
-                below[b] |= 1 << a
-                above[a] |= 1 << b
-        object.__setattr__(self, "ids", {l: i for i, l in indexed})
-        object.__setattr__(self, "below", tuple(below))
-        object.__setattr__(self, "above", tuple(above))
+        object.__setattr__(self, "ids", {l: i for i, l in enumerate(self.layers)})
 
     def leq(self, a: Layer, b: Layer) -> bool:
         """a <= b iff a is contained in b."""
-        if a in self.ids and b in self.ids:
-            return a == b or bool(self.below[self.ids[b]] >> self.ids[a] & 1)
         return b.contains(a)
 
     @property
@@ -257,12 +236,23 @@ class LayerPoset:
 
     def hasse_edges(self) -> list[tuple[Layer, Layer]]:
         """Covering pairs (a, b): a < b with no layer strictly between."""
-        pairs = itertools.product(enumerate(self.layers), repeat=2)
-        return [
+        layers = self.layers
+        masks = [sum(1 << i for i in l.support) for l in layers]
+        # nested supports and a smaller dimension are necessary for
+        # containment, but under torsion not sufficient
+        less = [
             (a, b)
-            for (i, a), (j, b) in pairs
-            if self.above[i] >> j & 1 and self.above[i] & self.below[j] == 0
+            for a, b in itertools.product(range(len(layers)), repeat=2)
+            if not masks[b] & ~masks[a]
+            and layers[a].dim < layers[b].dim
+            and layers[b].contains(layers[a])
         ]
+        # bitsets of the indices strictly below and strictly above each layer
+        below, above = [0] * len(layers), [0] * len(layers)
+        for a, b in less:
+            below[b] |= 1 << a
+            above[a] |= 1 << b
+        return [(layers[a], layers[b]) for a, b in less if above[a] & below[b] == 0]
 
     def __contains__(self, layer: Layer) -> bool:
         return layer in self.ids
