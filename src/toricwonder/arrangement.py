@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -133,6 +134,11 @@ class Layer:
     def dim(self) -> int:
         return self.lattice.ambient_rank - self.lattice.rank
 
+    @cached_property
+    def mask(self) -> int:
+        """`support` as a bitmask over the character indices."""
+        return sum(1 << i for i in self.support)
+
     def value_of(self, vector) -> Fraction | None:
         """The constant the character takes on this layer, if any."""
         c = self.lattice.coords(vector)
@@ -188,12 +194,12 @@ def make_layer(arr: Arrangement, lattice: Sublattice, values) -> Layer:
     return Layer(lattice, values, _support(arr, lattice, values))
 
 
-def _cosets(rank: int, rows, values) -> list[tuple[Sublattice, tuple[Fraction, ...]]]:
+def _cosets(rows, values) -> list[tuple[Sublattice, tuple[Fraction, ...]]]:
     """(lattice, values) of each component of {t : t^row = exp(2 pi i value)}."""
     sol = solve_torsion_system(rows, values)
     if sol is None:
         return []
-    lattice = saturate(Sublattice.from_rows(rank, rows))
+    lattice = sol.smith.row_saturation
     return [
         (lattice, tuple(pairing(row, phi) for row in lattice.basis))
         for phi in sol.representatives
@@ -202,7 +208,7 @@ def _cosets(rank: int, rows, values) -> list[tuple[Sublattice, tuple[Fraction, .
 
 def components(arr: Arrangement, rows, values) -> list[Layer]:
     """The connected components of {t : t^row = exp(2 pi i value)}."""
-    return [make_layer(arr, *coset) for coset in _cosets(arr.rank, rows, values)]
+    return [make_layer(arr, *coset) for coset in _cosets(rows, values)]
 
 
 def layer_components(arr: Arrangement, subset) -> list[Layer]:
@@ -229,7 +235,7 @@ class LayerPoset:
         """a <= b iff a is contained in b."""
         return b.contains(a)
 
-    @property
+    @cached_property
     def points(self) -> tuple[Layer, ...]:
         pts = [l for l in self.layers if l.dim == 0]
         return tuple(sorted(pts, key=lambda l: l.values))
@@ -237,13 +243,12 @@ class LayerPoset:
     def hasse_edges(self) -> list[tuple[Layer, Layer]]:
         """Covering pairs (a, b): a < b with no layer strictly between."""
         layers = self.layers
-        masks = [sum(1 << i for i in l.support) for l in layers]
         # nested supports and a smaller dimension are necessary for
         # containment, but under torsion not sufficient
         less = [
             (a, b)
             for a, b in itertools.product(range(len(layers)), repeat=2)
-            if not masks[b] & ~masks[a]
+            if not layers[b].mask & ~layers[a].mask
             and layers[a].dim < layers[b].dim
             and layers[b].contains(layers[a])
         ]
@@ -274,7 +279,7 @@ def build_poset(arr: Arrangement) -> LayerPoset:
             if i in layer.support or ch.vector in layer.lattice:
                 continue
             rows = layer.lattice.basis + (ch.vector,)
-            for lattice, values in _cosets(arr.rank, rows, layer.values + (ch.value,)):
+            for lattice, values in _cosets(rows, layer.values + (ch.value,)):
                 if Layer(lattice, values) not in found:
                     new = Layer(lattice, values, _support(arr, lattice, values))
                     found.add(new)

@@ -29,7 +29,7 @@ from .arrangement import (
     normalize,
 )
 from .decomposition import irreducible_layers, is_c_irreducible
-from .nested import NestedSet, enumerate_maximal, is_nested, center as nested_center
+from .nested import NestedSet, _all_nested, enumerate_maximal
 from .charts import (
     DEFAULT_TOL,
     CurveGerm,
@@ -256,8 +256,6 @@ def _nested_doc(poset, ns: NestedSet) -> dict:
 
 
 def cmd_nested(poset, args):
-    import itertools
-
     building = irreducible_layers(poset)
     restrict = _layer_by_id(poset, args.point) if args.point else None
     lines = []
@@ -276,13 +274,8 @@ def cmd_nested(poset, args):
     else:
         members = building.members
         if restrict is not None:
-            members = tuple(m for m in members if m.contains(restrict))
-        found = []
-        for size in range(1, len(members) + 1):
-            for combo in itertools.combinations(members, size):
-                ok, _ = is_nested(combo, building, poset)
-                if ok:
-                    found.append(combo)
+            members = building.members_through(restrict)
+        found = _all_nested(poset, building, members)
         lines.append(f"nested sets ({len(found)}):")
         doc["nested"] = []
         for combo in found:

@@ -10,10 +10,10 @@ the irreducible pieces underlying the building set of layers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidBuildingSet, InvalidPartition, NotInPoset
-from .arrangement import Layer, LayerPoset, complete_subsets
+from .arrangement import Layer, LayerPoset, _closure, complete_subsets
 from .lattices import Sublattice, saturate
 
 Partition = tuple[tuple[int, ...], ...]
@@ -118,7 +118,9 @@ def finest_integral_decomposition(vectors) -> Partition:
             continue
         if is_integral_decomposition(vectors, blocks):
             best = blocks
-    assert best is not None  # the trivial partition always qualifies
+    if best is None:
+        # the trivial partition always qualifies, for vectors of one length
+        raise InvalidPartition(f"{vectors} has no integral decomposition")
     return best
 
 
@@ -132,22 +134,66 @@ def is_c_irreducible(vectors) -> bool:
     return len(connected_components(vectors)) == 1
 
 
+class _Local:
+    """A building set seen from one layer p, usually a point.
+
+    Among layers through p, containment is reverse inclusion of supports:
+    a layer through p is the component through p of the intersection of
+    its support's hypersurfaces, and those components are disjoint.  So
+    the members through p are told apart, and compared, by their support
+    bitmasks alone, and every such support lies inside p's support.
+    """
+
+    def __init__(self, members, p: Layer):
+        self.ground = p.support
+        # a member through p has its support inside p's; only then test it
+        self.members = [m for m in members if not m.mask & ~p.mask and m.contains(p)]
+        self.masks = [m.mask for m in self.members]
+        self.index = {m: k for k, m in enumerate(self.members)}
+        self._flats: dict[int, bool] = {}
+        self._parts: dict[int, frozenset[int]] = {}
+
+    def is_flat(self, arr, mask: int) -> bool:
+        """Whether the characters in `mask` are closed under rational span at p."""
+        if mask not in self._flats:
+            subset = tuple(i for i in self.ground if mask >> i & 1)
+            self._flats[mask] = _closure(arr, self.ground, subset) == subset
+        return self._flats[mask]
+
+    def decomposition(self, flat: int) -> frozenset[int]:
+        """Masks of the maximal members whose support lies in the flat."""
+        if flat not in self._parts:
+            inside = [s for s in self.masks if not s & ~flat]
+            self._parts[flat] = frozenset(
+                s for s in inside if not any(s != t and not s & ~t for t in inside)
+            )
+        return self._parts[flat]
+
+
 @dataclass(frozen=True)
 class BuildingSet:
     """A family of layers decomposing every localized flat."""
 
     members: tuple[Layer, ...]
     flavor: str  # "irreducible" | "custom"
+    _locals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _at(self, p: Layer) -> _Local:
+        """The building set seen from `p`, made once per layer."""
+        if p not in self._locals:
+            self._locals[p] = _Local(self.members, p)
+        return self._locals[p]
 
     def members_through(self, p: Layer) -> list[Layer]:
-        return [m for m in self.members if m.contains(p)]
+        return list(self._at(p).members)
 
     def decomposition_of(self, p: Layer, flat) -> set[tuple[int, ...]]:
         """Supports of the maximal members through `p` whose support lies in `flat`."""
-        flat = set(flat)
-        inside = [set(m.support) for m in self.members_through(p)]
-        inside = [s for s in inside if s <= flat]
-        return {tuple(sorted(s)) for s in inside if not any(s < t for t in inside)}
+        mask = sum(1 << i for i in set(flat))
+        return {
+            tuple(i for i in range(s.bit_length()) if s >> i & 1)
+            for s in self._at(p).decomposition(mask)
+        }
 
     def __contains__(self, layer: Layer) -> bool:
         return layer in self.members
@@ -195,14 +241,10 @@ def factors(poset: LayerPoset, layer: Layer, building: BuildingSet) -> list[Laye
     """The building-set factors of a layer; their intersection is the layer."""
     if layer not in poset:
         raise NotInPoset(f"{layer} is not a layer of the arrangement")
-    if layer in building:
-        return [layer]
-    above = [m for m in building.members if m.contains(layer)]
     # factors are the minimal members above the layer, i.e. the ones with
-    # maximal localized support inside the layer's support
-    out = [
-        m
-        for m in above
-        if not any(o is not m and set(m.support) < set(o.support) for o in above)
-    ]
-    return sorted(out, key=Layer.key)
+    # maximal support inside the layer's support
+    local = building._at(layer)
+    parts = local.decomposition(layer.mask)
+    return sorted(
+        (m for m, s in zip(local.members, local.masks) if s in parts), key=Layer.key
+    )

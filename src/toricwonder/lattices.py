@@ -14,8 +14,9 @@ lattice equality is plain matrix equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import NotContained, NotSaturated, NotUnimodular, ZeroVector
@@ -149,6 +150,13 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return len(self.elementary_divisors)
+
+    @property
+    def row_saturation(self) -> Sublattice:
+        """The saturation of M's row lattice: the rows of M span the rows of
+        D V^-1, so the first rank rows of V^-1 span it."""
+        vinv = invert_unimodular(self.right)
+        return Sublattice.from_rows(len(self.right), vinv[: self.rank])
 
 
 def smith_normal_form(mat: Matrix) -> SmithDecomposition:
@@ -319,12 +327,9 @@ class Sublattice:
 
 def saturate(lattice: Sublattice) -> Sublattice:
     """All ambient vectors in the rational span of `lattice`."""
-    r = lattice.rank
-    if r == 0:
+    if lattice.rank == 0:
         return lattice
-    snf = smith_normal_form(lattice.basis)
-    vinv = invert_unimodular(snf.right)
-    return Sublattice.from_rows(lattice.ambient_rank, vinv[:r])
+    return smith_normal_form(lattice.basis).row_saturation
 
 
 def is_saturated(lattice: Sublattice) -> bool:
@@ -412,11 +417,17 @@ class TorsionSolution:
 
     `representatives` is one torsion point per connected component of the
     solution set, lexicographically sorted; `kernel` is the sublattice of
-    integer directions annihilated by M (the common continuous part).
+    integer directions annihilated by M (the common continuous part),
+    read off M's Smith form `smith` on first use.
     """
 
     representatives: tuple[tuple[Fraction, ...], ...]
-    kernel: Sublattice
+    smith: SmithDecomposition = field(repr=False, compare=False)
+
+    @cached_property
+    def kernel(self) -> Sublattice:
+        columns = list(zip(*self.smith.right))
+        return Sublattice.from_rows(len(columns), columns[self.smith.rank :])
 
 
 def solve_torsion_system(mat: Matrix, rhs) -> TorsionSolution | None:
@@ -430,8 +441,6 @@ def solve_torsion_system(mat: Matrix, rhs) -> TorsionSolution | None:
     for i in range(rank, k):
         if mod1(s[i]) != 0:
             return None
-    kernel_rows = [tuple(row[j] for row in snf.right) for j in range(rank, n)]
-    kernel = Sublattice.from_rows(n, kernel_rows)
     reps = []
     for combo in itertools.product(*(range(d) for d in divisors)):
         psi = [Fraction(0)] * n
@@ -442,4 +451,4 @@ def solve_torsion_system(mat: Matrix, rhs) -> TorsionSolution | None:
             for i in range(n)
         )
         reps.append(phi)
-    return TorsionSolution(tuple(sorted(set(reps))), kernel)
+    return TorsionSolution(tuple(sorted(set(reps))), snf)

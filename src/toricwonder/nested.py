@@ -9,18 +9,13 @@ minimal members off and intersecting what remains.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import IsMinimal, NotAPoint, NotContained, NotInBuildingSet, NotNested
-from .arrangement import (
-    Arrangement,
-    Layer,
-    LayerPoset,
-    components,
-    is_complete,
-    top_member,
-)
+from .arrangement import Arrangement, Layer, LayerPoset, components, top_member
 from .decomposition import BuildingSet
 
 
@@ -32,7 +27,8 @@ class Flag:
 
     def __post_init__(self):
         for small, big in zip(self.chain, self.chain[1:]):
-            assert big.contains(small) and big != small
+            if big == small or not big.contains(small):
+                raise NotNested(f"{self.chain} is not strictly increasing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,35 +71,75 @@ def is_nested(members, building: BuildingSet, poset: LayerPoset):
             raise NotInBuildingSet(f"{m} is not in the building set")
     if len(members) <= 1:
         return True, Flag(members)
-    common = [
-        p for p in poset.points if all(m.contains(p) for m in members)
-    ]
     arr = poset.arrangement
-    for p in common:
-        if _nested_at_point(members, building, arr, p):
+    for p in poset.points:
+        local = building._at(p)
+        chosen = [local.index.get(m) for m in members]
+        if None not in chosen and all(
+            _extends(local, arr, chosen[:k], chosen[k]) for k in range(1, len(chosen))
+        ):
             return True, _witness_flag(members, arr, p)
     return False, None
 
 
-def _nested_at_point(members, building, arr, p) -> bool:
-    if len(set(tuple(m.support) for m in members)) != len(members):
-        return False
-    for size in range(2, len(members) + 1):
-        for combo in itertools.combinations(members, size):
-            if any(
-                a.contains(b) or b.contains(a)
-                for a, b in itertools.combinations(combo, 2)
-            ):
-                continue
-            union = set().union(*(set(m.support) for m in combo))
-            if not is_complete(arr, p, union):
-                return False
-            # the combo's supports cover `union`, so equality checks the cover too
-            if building.decomposition_of(p, union) != {
-                tuple(sorted(m.support)) for m in combo
-            }:
-                return False
+def _extends(local, arr, chosen, x) -> bool:
+    """Whether the members `chosen` at a point stay nested there with `x` added.
+
+    A set is nested at p iff every antichain of two or more members has a
+    flat union of supports whose decomposition is the antichain itself.
+    `chosen` is nested already, so only the antichains through x remain.
+    """
+    masks = local.masks
+    mx = masks[x]
+    # supports of members through one point are comparable iff the members are
+    others = [masks[c] for c in chosen if mx & ~masks[c] and masks[c] & ~mx]
+    for size in range(1, len(others) + 1):
+        for combo in itertools.combinations(others, size):
+            if all(a & ~b and b & ~a for a, b in itertools.combinations(combo, 2)):
+                union = functools.reduce(operator.or_, combo, mx)
+                parts = {mx, *combo}
+                if not local.is_flat(arr, union) or local.decomposition(union) != parts:
+                    return False
     return True
+
+
+def _nested_sets(local, arr, candidates, size=None):
+    """The nested sets at a point among `candidates` (indices into its
+    members), in lexicographic order, none larger than `size`.
+
+    Subsets of a nested set are nested, so a failing prefix is pruned.
+    """
+
+    def grow(chosen, start):
+        yield chosen
+        if len(chosen) == size:
+            return
+        for k in range(start, len(candidates)):
+            if _extends(local, arr, chosen, candidates[k]):
+                yield from grow(chosen + (candidates[k],), k + 1)
+
+    return grow((), 0)
+
+
+def _all_nested(
+    poset: LayerPoset, building: BuildingSet, within
+) -> list[tuple[Layer, ...]]:
+    """Every nested set of members from `within`, by size, then by position.
+
+    Two or more members are nested when they are nested at a common point,
+    so the family is the union of the points' complexes.  It holds every
+    singleton too: the characters span the lattice, so every layer
+    passes through a point.
+    """
+    position = {m: k for k, m in enumerate(within)}
+    found = set()
+    for p in poset.points:
+        local = building._at(p)
+        candidates = [k for k, m in enumerate(local.members) if m in position]
+        for chosen in _nested_sets(local, poset.arrangement, candidates):
+            found.add(tuple(local.members[k] for k in chosen))
+    found.discard(())
+    return sorted(found, key=lambda s: (len(s), [position[m] for m in s]))
 
 
 def _witness_flag(members, arr, p) -> Flag:
@@ -115,12 +151,12 @@ def _witness_flag(members, arr, p) -> Flag:
         layer = next(c for c in comps if c.contains(p))
         if not chain or chain[-1] != layer:
             chain.append(layer)
-        minimal = [
+        # keep the members holding another: through p, o lies in m iff supp m <= supp o
+        remaining = [
             m
             for m in remaining
-            if not any(o is not m and m.contains(o) for o in remaining)
+            if any(o is not m and not m.mask & ~o.mask for o in remaining)
         ]
-        remaining = [m for m in remaining if m not in minimal]
     return Flag(tuple(chain))
 
 
@@ -130,7 +166,8 @@ def center(members, building: BuildingSet, poset: LayerPoset) -> Layer:
     if not ok:
         raise NotNested(f"{members} is not nested")
     comps = intersection_components(poset.arrangement, members)
-    assert len(comps) == 1, "nested intersection must be connected"
+    if len(comps) != 1:
+        raise NotNested(f"the intersection of {members} is not connected")
     return comps[0]
 
 
@@ -140,17 +177,19 @@ def enumerate_maximal(
     """All maximal nested sets with center `p`; each has n members."""
     if p.dim != 0:
         raise NotAPoint("maximal nested sets are enumerated per point")
-    n = poset.arrangement.rank
-    candidates = [m for m in building.members if m.contains(p)]
+    arr = poset.arrangement
+    n = arr.rank
+    local = building._at(p)
     out = []
-    for combo in itertools.combinations(candidates, n):
-        ok, witness = is_nested(combo, building, poset)
-        if not ok:
+    for chosen in _nested_sets(local, arr, range(len(local.members)), n):
+        if len(chosen) < n:
             continue
-        comps = intersection_components(poset.arrangement, combo)
+        combo = [local.members[k] for k in chosen]
+        comps = intersection_components(arr, combo)
         if len(comps) != 1 or comps[0] != p:
             continue
-        out.append(NestedSet(tuple(combo), comps[0], witness))
+        members = tuple(sorted(combo, key=Layer.key))
+        out.append(NestedSet(members, comps[0], _witness_flag(members, arr, p)))
     return sorted(out, key=NestedSet.key)
 
 

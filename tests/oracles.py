@@ -4,24 +4,49 @@ These deliberately avoid the library's own search strategies: the layer
 oracle solves the torsion system of every character subset, the Hasse
 oracle tests every triple of layers, the decomposition oracle scans every
 set partition, and the nestedness oracle enumerates every flag of layers
-and collects the factor sets.
+and collects the factor sets.  The nested-set scans decide every subset
+of building-set members on its own, with `Layer.contains` and
+`is_complete` at each common point, and keep the ones that pass.
 """
 
 import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
+
+import pytest
 
 from toricwonder import (
     Arrangement,
+    Flag,
     Layer,
+    NestedSet,
     WeightedCharacter,
     build_poset,
     factors,
+    intersection_components,
+    is_complete,
     is_integral_decomposition,
     layer_components,
     normalize,
 )
+from toricwonder.cli import parse_file
+
+ROOT = Path(__file__).resolve().parent.parent
+ARR_FILES = sorted((ROOT / "perfbench" / "families").glob("*.arr")) + sorted(
+    (ROOT / "examples_data").glob("*.arr")
+)
+# every bench family (read only), both examples and 30 seeded random ones
+ORACLE_CASES = [pytest.param(p, id=p.stem) for p in ARR_FILES] + [
+    pytest.param(seed, id=f"random-{seed}") for seed in range(30)
+]
+
+
+def case_arrangement(case):
+    if isinstance(case, int):
+        return random_arrangement(random.Random(case))
+    return parse_file(str(case))[0]
 
 
 def oracle_layers(arr):
@@ -104,6 +129,119 @@ def oracle_nested_family(poset, building):
             members.update(factors(poset, layer, building))
         fam.add(frozenset(members))
     return fam
+
+
+class _Memo:
+    """Containment and completeness answers for one scan, which asks each
+    many times.  Keys are object ids: every layer asked about is held by
+    the poset, the building set or the caller until the scan returns."""
+
+    def __init__(self, arr):
+        self.arr = arr
+        self._contains = {}
+        self._complete = {}
+        self._through = {}
+
+    def contains(self, a, b):
+        key = (id(a), id(b))
+        if key not in self._contains:
+            self._contains[key] = a.contains(b)
+        return self._contains[key]
+
+    def through(self, building, p):
+        """Supports of the building-set members that contain `p`."""
+        if id(p) not in self._through:
+            self._through[id(p)] = [
+                set(m.support) for m in building.members if self.contains(m, p)
+            ]
+        return self._through[id(p)]
+
+    def complete(self, p, union):
+        key = (id(p), union)
+        if key not in self._complete:
+            self._complete[key] = is_complete(self.arr, p, union)
+        return self._complete[key]
+
+
+def _nested_at_point(members, building, memo, p):
+    """Every antichain has a flat union of supports decomposed into itself."""
+    if len(set(m.support for m in members)) != len(members):
+        return False
+    through = memo.through(building, p)
+    for size in range(2, len(members) + 1):
+        for combo in itertools.combinations(members, size):
+            if any(
+                memo.contains(a, b) or memo.contains(b, a)
+                for a, b in itertools.combinations(combo, 2)
+            ):
+                continue
+            union = frozenset().union(*(m.support for m in combo))
+            if not memo.complete(p, union):
+                return False
+            inside = [s for s in through if s <= union]
+            maximal = {frozenset(s) for s in inside if not any(s < t for t in inside)}
+            if maximal != {frozenset(m.support) for m in combo}:
+                return False
+    return True
+
+
+def _witness_flag(members, memo, p):
+    remaining = list(members)
+    chain = []
+    while remaining:
+        comps = intersection_components(memo.arr, remaining)
+        layer = next(c for c in comps if c.contains(p))
+        if not chain or chain[-1] != layer:
+            chain.append(layer)
+        remaining = [
+            m
+            for m in remaining
+            if any(o is not m and memo.contains(m, o) for o in remaining)
+        ]
+    return Flag(tuple(chain))
+
+
+def _is_nested(members, building, poset, memo):
+    members = tuple(sorted(set(members), key=Layer.key))
+    if len(members) <= 1:
+        return True, Flag(members)
+    for p in poset.points:
+        if all(memo.contains(m, p) for m in members) and _nested_at_point(
+            members, building, memo, p
+        ):
+            return True, _witness_flag(members, memo, p)
+    return False, None
+
+
+def oracle_is_nested(members, building, poset):
+    """(nested, witness Flag or None), trying each common point in turn."""
+    return _is_nested(members, building, poset, _Memo(poset.arrangement))
+
+
+def oracle_maximal_nested(poset, p, building):
+    """Maximal nested sets centred at the point `p`, from every n-subset."""
+    memo = _Memo(poset.arrangement)
+    candidates = [m for m in building.members if memo.contains(m, p)]
+    out = []
+    for combo in itertools.combinations(candidates, memo.arr.rank):
+        ok, witness = _is_nested(combo, building, poset, memo)
+        if not ok:
+            continue
+        comps = intersection_components(memo.arr, combo)
+        if len(comps) == 1 and comps[0] == p:
+            out.append(NestedSet(combo, comps[0], witness))
+    return sorted(out, key=NestedSet.key)
+
+
+def oracle_all_nested(poset, building, within):
+    """Every nested subset of `within`, by size, from all 2^k subsets."""
+    memo = _Memo(poset.arrangement)
+    return [
+        combo
+        for size in range(1, len(within) + 1)
+        for combo in itertools.combinations(within, size)
+        if _is_nested(combo, building, poset, memo)[0]
+    ]
 
 
 def random_vectors(rng: random.Random, rank=None, count=None):

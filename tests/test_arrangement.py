@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -23,24 +22,15 @@ from toricwonder import (
     point_layer,
 )
 from toricwonder import arrangement
-from toricwonder.cli import parse_file
-from oracles import oracle_hasse_edges, oracle_layers, random_arrangement
+from oracles import (
+    ORACLE_CASES,
+    case_arrangement,
+    oracle_hasse_edges,
+    oracle_layers,
+    random_arrangement,
+)
 
 F = Fraction
-
-ROOT = Path(__file__).resolve().parent.parent
-ARR_FILES = sorted((ROOT / "perfbench" / "families").glob("*.arr")) + sorted(
-    (ROOT / "examples_data").glob("*.arr")
-)
-ORACLE_CASES = [pytest.param(p, id=p.stem) for p in ARR_FILES] + [
-    pytest.param(seed, id=f"random-{seed}") for seed in range(30)
-]
-
-
-def _arrangement(case):
-    if isinstance(case, int):
-        return random_arrangement(random.Random(case))
-    return parse_file(str(case))[0]
 
 
 def root_system(kind, n):
@@ -170,7 +160,7 @@ class TestPoset:
 class TestPosetOracle:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_brute_force(self, case):
-        poset = build_poset(_arrangement(case))
+        poset = build_poset(case_arrangement(case))
         expected = oracle_layers(poset.arrangement)
         assert [l.key() for l in poset.layers] == [l.key() for l in expected]
         assert poset.hasse_edges() == oracle_hasse_edges(poset)

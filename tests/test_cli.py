@@ -184,6 +184,18 @@ GOLDEN = [
     ("doubled_square", "nested --max --json", "9125cf608d357c622da120530eed88b7968c83e0ca4aa6a3be87fcbafbe7640e"),
     ("doubled_square", "charts --verify --seed 42", "0e57dfe4237e8b6645df24eb0fe9c740541840f005cc13814dc52f5010fdaf04"),
     ("doubled_square", "charts --verify --seed 42 --json", "02d2bf0b2ae09992396d30bc72ce28201ac01169eb2d30ab3e9c214ca705d2d8"),
+    ("two_lines", "nested", "f4c2266b1918d815881ac0d87dddebded120dd9f131e9f74238cec7674e2354c"),
+    ("two_lines", "nested --json", "2c7e0ec9eb212c9cc9d64f0d6cf486b06665230d59f2874171154233dc392933"),
+    ("two_lines", "nested --point L2", "a6b2ec5e6d51fc68cf37b84719a5687181a7b7c6977369b24b5072e1de4a728f"),
+    ("two_lines", "nested --point L2 --json", "71622608db9fd5e038f06b8823cd914f034a51dcdc7ca9f55adf888c196b4309"),
+    ("two_lines", "nested --point L3", "c08f8f5c3c8872fee777666460f7dbba44829e896bf07d4f5461a02c5c8c36f2"),
+    ("two_lines", "nested --point L3 --json", "33701e7bbf21e8ac2af68a4858626d2c873fff03afadb40284dc666f585cf15d"),
+    ("doubled_square", "nested", "18e7233a4a7a311e30f745f1888d39caed95ddc9d09c818febeae19c157cf805"),
+    ("doubled_square", "nested --json", "2dfb9cc5aa9d35cf29857d8b1f9a95728131575c854d9ec6386f48fcf18bf428"),
+    ("doubled_square", "nested --point L6", "bfba950a47ab927c406138665544a9e82ced9a624372062135bb3f874b2047cd"),
+    ("doubled_square", "nested --point L6 --json", "533d72bf012953f1c5552bc53226eae806d0e8ffcbfdba427924e5c79aea6bfb"),
+    ("doubled_square", "nested --point L9", "7a9b40346f3a446941d3e40b483bc264f547c945fa064cd941002c9ee8770a0d"),
+    ("doubled_square", "nested --point L9 --json", "4f775d6e0d74c130dc0ff708ead9567b292c53515bdcabbf77bee6852dda3508"),
 ]
 
 

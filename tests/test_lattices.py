@@ -227,6 +227,21 @@ class TestTorsionSystems:
                 for row, r in zip(rows, rhs):
                     assert mod1(sum(Fraction(x) * p for x, p in zip(row, phi))) == r
 
+    def test_saturation_and_kernel_from_smith_form(self):
+        rng = random.Random(6)
+        for _ in range(80):
+            n = rng.randint(1, 3)
+            rows = tuple(
+                tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, 3))
+            )
+            sol = solve_torsion_system(rows, (Fraction(0),) * len(rows))
+            saturation = sol.smith.row_saturation
+            assert saturation == saturate(Sublattice.from_rows(n, rows))
+            assert sol.kernel.rank == n - saturation.rank
+            for v in sol.kernel.basis:
+                assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
 
 class TestIntersect:
     def test_transverse_lines(self):

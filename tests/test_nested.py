@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from toricwonder import (
+    Flag,
     IsMinimal,
     NotAPoint,
     NotContained,
     NotInBuildingSet,
     NotNested,
+    BuildingSet,
     build_poset,
     center,
     core,
@@ -17,11 +19,22 @@ from toricwonder import (
     enumerate_maximal,
     irreducible_layers,
     is_nested,
+    normalize,
     point_layer,
     successor,
 )
+from toricwonder import arrangement
 from toricwonder.arrangement import top_member
-from oracles import oracle_nested_family, random_arrangement
+from toricwonder.nested import _all_nested
+from oracles import (
+    ORACLE_CASES,
+    case_arrangement,
+    oracle_all_nested,
+    oracle_is_nested,
+    oracle_maximal_nested,
+    oracle_nested_family,
+    random_arrangement,
+)
 
 F = Fraction
 
@@ -94,6 +107,25 @@ class TestCenter:
         with pytest.raises(NotNested):
             center(hs, building, poset)
 
+    def test_disconnected(self, two_lines):
+        # without the points as members the two lines are nested at each
+        # point, but they meet in two points
+        _, poset, _ = two_lines
+        hs = [l for l in poset.layers if l.dim == 1]
+        with pytest.raises(NotNested, match="not connected"):
+            center(hs, BuildingSet(tuple(hs), "custom"), poset)
+
+
+class TestFlag:
+    def test_not_increasing(self, two_lines):
+        arr, poset, _ = two_lines
+        p1 = point_layer(arr, (0, 0))
+        h = hypersurface(poset, (1, 1))
+        assert Flag((p1, h)).chain == (p1, h)
+        for chain in ((h, p1), (p1, p1)):
+            with pytest.raises(NotNested):
+                Flag(chain)
+
 
 class TestEnumerateMaximal:
     def test_two_lines_origin(self, two_lines):
@@ -121,6 +153,15 @@ class TestEnumerateMaximal:
         for s in sets:
             assert p1 in s.members
             assert sum(m.dim == 1 for m in s.members) == 1
+
+    def test_disconnected_skipped(self, two_lines):
+        # nested at the origin, but the two lines also meet at (1/2, 1/2)
+        arr, poset, _ = two_lines
+        lines = tuple(l for l in poset.layers if l.dim == 1)
+        building = BuildingSet(lines, "custom")
+        p1 = point_layer(arr, (0, 0))
+        assert is_nested(lines, building, poset)[0]
+        assert enumerate_maximal(poset, p1, building) == []
 
     def test_requires_point(self, two_lines):
         _, poset, building = two_lines
@@ -199,3 +240,107 @@ class TestOracleRandom:
                     assert ok == (frozenset(combo) in fam)
                     if ok:
                         assert witness is not None
+
+
+def _shape(sets):
+    """Members, center, witness flag and order, with supports."""
+    return [
+        (
+            tuple(m.key() for m in s.members),
+            s.center.key(),
+            tuple(l.key() for l in s.witness.chain),
+        )
+        for s in sets
+    ]
+
+
+def _keys(family):
+    return [tuple(m.key() for m in combo) for combo in family]
+
+
+class TestNestedOracle:
+    """The backtracking search against the subset scans it replaced."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_subset_scans(self, case):
+        poset = build_poset(case_arrangement(case))
+        building = irreducible_layers(poset)
+        for p in poset.points:
+            expected = oracle_maximal_nested(poset, p, building)
+            assert _shape(enumerate_maximal(poset, p, building)) == _shape(expected)
+            through = building.members_through(p)
+            assert through == [m for m in building.members if m.contains(p)]
+            if len(through) <= 6:
+                found = _all_nested(poset, building, through)
+                assert _keys(found) == _keys(oracle_all_nested(poset, building, through))
+        if len(building.members) <= 11:
+            found = _all_nested(poset, building, building.members)
+            expected = oracle_all_nested(poset, building, building.members)
+            assert _keys(found) == _keys(expected)
+            if len(poset.layers) <= 14:
+                fam = oracle_nested_family(poset, building)
+                assert {frozenset(combo) for combo in found} == fam
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_is_nested_matches(self, case):
+        poset = build_poset(case_arrangement(case))
+        building = irreducible_layers(poset)
+        members = building.members
+        rng = random.Random(len(members))
+        for _ in range(60):
+            combo = rng.sample(members, rng.randint(1, min(4, len(members))))
+            ok, witness = is_nested(combo, building, poset)
+            expected, expected_witness = oracle_is_nested(combo, building, poset)
+            assert ok == expected
+            if ok:
+                assert [l.key() for l in witness.chain] == [
+                    l.key() for l in expected_witness.chain
+                ]
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_mask_containment(self, case):
+        # through a common point, a contains b iff supp a is inside supp b
+        poset = build_poset(case_arrangement(case))
+        for p in poset.points:
+            through = [l for l in poset.layers if l.contains(p)]
+            for a in through:
+                for b in through:
+                    assert a.contains(b) == (not a.mask & ~b.mask)
+
+
+def roots_a(n):
+    """Positive roots of A_n in simple-root coordinates."""
+    return [
+        tuple(int(i <= k <= j) for k in range(n)) for i in range(n) for j in range(i, n)
+    ]
+
+
+class TestNestedScale:
+    def test_c3_contains_calls(self, monkeypatch):
+        unit = [tuple(int(k == i) for k in range(3)) for i in range(3)]
+        roots = [tuple(2 * x for x in e) for e in unit] + [
+            tuple(a + s * b for a, b in zip(unit[i], unit[j]))
+            for i in range(3)
+            for j in range(i + 1, 3)
+            for s in (1, -1)
+        ]
+        poset = build_poset(normalize(3, [(v, 0) for v in roots]))
+        building = irreducible_layers(poset)
+        calls = []
+        contains = arrangement.Layer.contains
+
+        def counted(self, other):
+            calls.append(other)
+            return contains(self, other)
+
+        monkeypatch.setattr(arrangement.Layer, "contains", counted)
+        sets = enumerate_all_maximal(poset, building)
+        assert len(sets) == 84
+        # the n-subset scan made 32,310 containment tests here
+        assert len(calls) <= 3231
+
+    def test_a4_count(self):
+        poset = build_poset(normalize(4, [(v, 0) for v in roots_a(4)]))
+        assert len(poset.arrangement.characters) == 10
+        sets = enumerate_all_maximal(poset, irreducible_layers(poset))
+        assert len(sets) == 105

@@ -13,8 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = """
 from fractions import Fraction
 from toricwonder import (
-    ToricError, build_chart, build_poset, core, enumerate_maximal,
-    irreducible_layers, normalize, point_layer,
+    BuildingSet, Flag, ToricError, build_chart, build_poset, center, core,
+    decomposition, enumerate_maximal, irreducible_layers, normalize, point_layer,
 )
 from toricwonder.lattices import invert_unimodular
 
@@ -24,11 +24,24 @@ building = irreducible_layers(poset)
 sets = enumerate_maximal(poset, point_layer(arr, (0, 0)), building)
 s = next(x for x in sets if any(m.dim == 1 for m in x.members))
 elsewhere = point_layer(arr, (Fraction(1, 2), Fraction(1, 2)))
+lines = tuple(l for l in poset.layers if l.dim == 1)
+
+
+def no_decomposition():
+    # the trivial partition always qualifies; pretend it does not
+    decomposition.is_integral_decomposition = lambda vectors, blocks: False
+    decomposition.finest_integral_decomposition([(1, 0)])
+
+
 for case in (
     lambda: build_chart(poset, s, basis_rows=[(1, 0), (0, 1)]),
     lambda: core(s, elsewhere),
     lambda: invert_unimodular(((1, 1), (1, 1))),
     lambda: invert_unimodular(((2, 0), (0, 1))),
+    lambda: Flag((lines[0], point_layer(arr, (0, 0)))),
+    # the two lines meet in two points, so they have no center
+    lambda: center(lines, BuildingSet(lines, "custom"), poset),
+    no_decomposition,
 ):
     try:
         case()
@@ -58,7 +71,8 @@ def test_typed_errors(optimize):
     proc = run("-c", CASES, optimize=optimize)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "NotAdapted", "NotContained", "NotUnimodular", "NotUnimodular"
+        "NotAdapted", "NotContained", "NotUnimodular", "NotUnimodular",
+        "NotNested", "NotNested", "InvalidPartition",
     ]
 
 
