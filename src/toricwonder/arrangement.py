@@ -128,6 +128,12 @@ class Layer:
         return self.lattice == other.lattice and self.values == other.values
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # layers key dicts and sets throughout; hashing every Fraction on
+        # each lookup would dominate those scans
         return hash((self.lattice, self.values))
 
     @property

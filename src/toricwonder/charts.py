@@ -21,6 +21,7 @@ from .errors import (
     InvalidGerm,
     NotAdapted,
     NotAPoint,
+    NotExpandable,
     NotInBuildingSet,
     NotInOverlap,
     OnDivisor,
@@ -115,7 +116,8 @@ class BetaTerm:
     """One summand of the unit-function expansion of a character.
 
     Evaluates to sign * e^{2 pi i angle} * prod member-values^exponent *
-    prod (member-value - root of unity).
+    prod (member-value - root of unity).  The roots of unity are computed
+    once, when the term is made.
     """
 
     member: int
@@ -123,13 +125,21 @@ class BetaTerm:
     angle: Fraction
     monomial: tuple[tuple[int, int], ...]
     linear: tuple[tuple[int, Fraction], ...]
+    _scale: complex = field(init=False, repr=False, compare=False)
+    _roots: tuple[tuple[int, complex], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_scale", self.sign * unit_root(self.angle))
+        object.__setattr__(
+            self, "_roots", tuple((idx, unit_root(a)) for idx, a in self.linear)
+        )
 
     def eval(self, values) -> complex:
-        out = self.sign * unit_root(self.angle)
+        out = self._scale
         for idx, e in self.monomial:
             out *= values[idx] ** e
-        for idx, angle in self.linear:
-            out *= values[idx] - unit_root(angle)
+        for idx, root in self._roots:
+            out *= values[idx] - root
         return out
 
 
@@ -147,16 +157,31 @@ class ChartFunction:
     value: Fraction
     base_member: int
     terms: tuple[BetaTerm, ...]
+    # per term, the coordinates below its member but not below base_member
+    _extra: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        below = self.chart.below
+        base_below = set(below[self.base_member])
+        object.__setattr__(
+            self,
+            "_extra",
+            tuple(
+                tuple(e for e in below[term.member] if e not in base_below)
+                for term in self.terms
+            ),
+        )
 
     def __call__(self, z) -> complex:
-        values = self.chart.member_character_values(z)
-        base_below = set(self.chart.below[self.base_member])
+        return self._at(z, self.chart.member_character_values(z))
+
+    def _at(self, z, values) -> complex:
+        """The value at z, given the chart's member character values at z."""
         total = 0j
-        for term in self.terms:
+        for term, extra in zip(self.terms, self._extra):
             contrib = term.eval(values)
-            for e in self.chart.below[term.member]:
-                if e not in base_below:
-                    contrib *= z[e]
+            for e in extra:
+                contrib *= z[e]
             total += contrib
         return total
 
@@ -173,13 +198,16 @@ class Chart:
     constants: tuple[Fraction, ...] = field(init=False)
     below: tuple[tuple[int, ...], ...] = field(init=False)
     succ: tuple[int | None, ...] = field(init=False)
+    _roots: tuple[complex, ...] = field(init=False)  # unit_root of each constant
     _above: tuple[tuple[int, ...], ...] = field(init=False)
     _basis_inv: tuple = field(init=False)
     _functions: dict = field(init=False, default_factory=dict)
+    _units: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         phi = self.point_coordinates
         self.constants = tuple(pairing(row, phi) for row in self.basis)
+        self._roots = tuple(unit_root(a) for a in self.constants)
         members = self.members
         self.below = tuple(
             tuple(j for j, d in enumerate(members) if c.contains(d)) for c in members
@@ -215,22 +243,27 @@ class Chart:
     def member_character_values(self, z) -> list[complex]:
         """The value of each basis character at the image torus point."""
         out = []
-        for i in range(self.rank):
+        for inside, root in zip(self.below, self._roots):
             prod = 1 + 0j
-            for e in self.below[i]:
+            for e in inside:
                 prod *= z[e]
-            out.append(prod + unit_root(self.constants[i]))
+            out.append(prod + root)
         return out
 
     def in_coordinate_domain(self, z) -> bool:
-        return all(
-            abs(v) > self.tolerance for v in self.member_character_values(z)
-        )
+        return self._in_domain(self.member_character_values(z))
+
+    def _in_domain(self, values) -> bool:
+        return all(abs(v) > self.tolerance for v in values)
 
     def chart_to_torus(self, z) -> tuple[complex, ...]:
         values = self.member_character_values(z)
         if any(abs(v) <= self.tolerance for v in values):
             raise OutsideDomain("a torus coordinate would vanish")
+        return self._to_torus(values)
+
+    def _to_torus(self, values) -> tuple[complex, ...]:
+        """The torus point whose member character values are `values`."""
         return tuple(
             _int_power_product(values, self._basis_inv[j])
             for j in range(self.rank)
@@ -241,8 +274,8 @@ class Chart:
 
     def torus_to_chart(self, t) -> tuple[complex, ...]:
         nums = [
-            self.character_value(t, row) - unit_root(a)
-            for row, a in zip(self.basis, self.constants)
+            self.character_value(t, row) - root
+            for row, root in zip(self.basis, self._roots)
         ]
         out = []
         for i in range(self.rank):
@@ -282,18 +315,29 @@ class Chart:
         base = None
         while any(cur):
             layer = self.constant_member(cur)
-            assert layer is not None, "character must be constant on a member"
+            if layer is None:
+                raise NotExpandable(
+                    f"character {list(cur)} is constant on no member of the chart"
+                )
             c = self.index_of(layer)
             if base is None:
                 base = c
             coeffs = vec_mat(cur, self._basis_inv)
-            assert all(
-                coeffs[j] == 0
+            if any(
+                coeffs[j] != 0
                 for j in range(self.rank)
                 if j not in self.below_inverse(c)
-            )
+            ):
+                raise NotExpandable(
+                    f"character {list(cur)} uses basis vectors of members "
+                    f"not containing member {c}"
+                )
             m_c = coeffs[c]
-            assert m_c != 0
+            if m_c == 0:
+                raise NotExpandable(
+                    f"character {list(cur)} has no component on the basis "
+                    f"vector of member {c}, its largest constant member"
+                )
             monomial = [
                 (j, coeffs[j])
                 for j in self.below_inverse(c)
@@ -315,8 +359,24 @@ class Chart:
             cur = tuple(
                 x - m_c * y for x, y in zip(cur, self.basis[c])
             )
-        assert base is not None
+        if base is None:
+            raise NotExpandable("the trivial character has no unit function")
         return ChartFunction(self, tuple(vector), value, base, tuple(terms))
+
+    def _support_units(self):
+        """(unit function, vector, root of its constant) for each character
+        through the center, in support order; made on the first call."""
+        if self._units is None:
+            chars = self.poset.arrangement.characters
+            self._units = tuple(
+                (
+                    self.character_unit(chars[i].vector, chars[i].value),
+                    chars[i].vector,
+                    unit_root(chars[i].value),
+                )
+                for i in self.point_support()
+            )
+        return self._units
 
     def below_inverse(self, i) -> tuple[int, ...]:
         """Indices of members containing member i (including itself)."""
@@ -332,7 +392,7 @@ class Chart:
         values = self.member_character_values(z)
         if any(abs(v) <= self.tolerance for v in values):
             return False
-        t = self.chart_to_torus(z)
+        t = self._to_torus(values)
         arr = self.poset.arrangement
         for layer in self.poset.layers:
             if layer.contains(self.center):
@@ -342,7 +402,7 @@ class Chart:
         for i in self.point_support():
             ch = arr.characters[i]
             f = self.character_unit(ch.vector, ch.value)
-            if abs(f(z)) <= self.tolerance:
+            if abs(f._at(z, values)) <= self.tolerance:
                 return False
         return True
 
@@ -671,20 +731,21 @@ def _sample_coordinate(rng) -> complex:
 
 
 def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
-    """Max relative defect of unit * monomial == character - constant."""
-    arr = chart.poset.arrangement
+    """Max relative defect of unit * monomial == character - constant.
+
+    The unit functions are expanded at the first sample in the domain.
+    """
     worst = 0.0
     for _ in range(samples):
         z = tuple(_sample_coordinate(rng) for _ in range(chart.rank))
-        if not chart.in_coordinate_domain(z):
+        values = chart.member_character_values(z)
+        if not chart._in_domain(values):
             continue
-        t = chart.chart_to_torus(z)
-        for i in chart.point_support():
-            ch = arr.characters[i]
-            f = chart.character_unit(ch.vector, ch.value)
-            lhs = f(z) * chart.coordinate_monomial(z, f.base_member)
-            rhs = chart.character_value(t, ch.vector) - unit_root(ch.value)
-            rel = abs(lhs - rhs) / (1 + abs(chart.character_value(t, ch.vector)))
+        t = chart._to_torus(values)
+        for f, vector, root in chart._support_units():
+            lhs = f._at(z, values) * chart.coordinate_monomial(z, f.base_member)
+            value = chart.character_value(t, vector)
+            rel = abs(lhs - (value - root)) / (1 + abs(value))
             worst = max(worst, rel)
     return worst
 
@@ -693,9 +754,10 @@ def roundtrip_sweep(chart: Chart, rng, samples: int = 100) -> float:
     worst = 0.0
     for _ in range(samples):
         z = tuple(_sample_coordinate(rng) for _ in range(chart.rank))
-        if not chart.in_coordinate_domain(z):
+        values = chart.member_character_values(z)
+        if not chart._in_domain(values):
             continue
-        t = chart.chart_to_torus(z)
+        t = chart._to_torus(values)
         try:
             z_back = chart.torus_to_chart(t)
         except OnDivisor:

@@ -73,6 +73,10 @@ class NotAdapted(ToricError):
     """An explicit chart basis is not adapted to its nested set."""
 
 
+class NotExpandable(ToricError):
+    """A character has no unit-function expansion in a chart."""
+
+
 class OnDivisor(ToricError):
     pass
 

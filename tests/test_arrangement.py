@@ -10,6 +10,7 @@ from toricwonder import (
     Layer,
     NotComplete,
     NotPrimitive,
+    Sublattice,
     WeightedCharacter,
     ZeroVector,
     build_poset,
@@ -269,6 +270,20 @@ class TestLayerBasics:
         a = poset.layers[0]
         b = Layer(a.lattice, a.values, ())
         assert a == b and hash(a) == hash(b)
+
+    def test_separately_built_layers_hash_equal(self):
+        arr = random_arrangement(random.Random(5))
+        first, second = build_poset(arr), build_poset(arr)
+        assert len(first.layers) == len(second.layers) > 1
+        for a, b in zip(first.layers, second.layers):
+            assert a == b and a is not b and hash(a) == hash(b)
+            # a layer made from fresh lattice and Fraction objects
+            c = Layer(
+                Sublattice(b.lattice.ambient_rank, tuple(map(tuple, b.lattice.basis))),
+                tuple(F(v.numerator, v.denominator) for v in b.values),
+            )
+            assert hash(c) == hash(a) and c == a
+        assert len({*first.layers, *second.layers}) == len(first.layers)
 
     def test_value_of(self, two_lines):
         _, poset, _ = two_lines

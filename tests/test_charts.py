@@ -1,16 +1,21 @@
 import cmath
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from toricwonder import (
+    Chart,
     CurveGerm,
     InvalidGerm,
     NotAdapted,
     NotInBuildingSet,
     OnDivisor,
     OutsideDomain,
+    ToricError,
     adapted_basis_rows,
     atlas,
     build_chart,
@@ -20,13 +25,23 @@ from toricwonder import (
     enumerate_maximal,
     irreducible_layers,
     point_layer,
+    residual_sweep,
+    roundtrip_sweep,
     transition,
 )
+from toricwonder import charts
 from toricwonder.charts import maximal_constant_member
+from toricwonder.cli import parse_file
 from toricwonder.lattices import determinant, hermite_basis
 from oracles import random_arrangement
 
 F = Fraction
+
+FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "families"
+
+# sha256 of every A3, B3 and C3 sweep result below, recorded when each
+# sample still converted the chart's Fraction constants to floats
+SWEEP_PIN = "ecdfb4b6f4626aafa741d9a7face56a3e5fc62b130439167c05992384cd067e6"
 
 
 def chart_with(poset, building, point, member_basis, explicit=None):
@@ -37,6 +52,17 @@ def chart_with(poset, building, point, member_basis, explicit=None):
         if any(m.lattice.basis == member_basis for m in x.members)
     )
     return build_chart(poset, s, basis_rows=explicit)
+
+
+@pytest.fixture(scope="module")
+def family_atlases():
+    """The atlas of each of A3, B3 and C3, read from the bench families."""
+    out = {}
+    for fam in ("A3", "B3", "C3"):
+        arr, _ = parse_file(str(FAMILIES / f"{fam}.arr"))
+        poset = build_poset(arr)
+        out[fam] = atlas(poset, irreducible_layers(poset))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -344,3 +370,53 @@ class TestCurveLifting:
                     continue
                 assert chart.in_chart(z_limit)
                 done += 1
+
+
+class TestSweepPin:
+    def test_sweeps_bit_identical(self, family_atlases):
+        """Every float the sweeps return is unchanged to the last bit; a
+        chart whose unit functions cannot be expanded counts only as an
+        error, whatever its type."""
+        digest = hashlib.sha256()
+        for fam, fam_atlas in family_atlases.items():
+            rng = random.Random(f"atlas:1:{fam}")
+            for chart in fam_atlas:
+                for sweep in (residual_sweep, roundtrip_sweep):
+                    try:
+                        out = repr(sweep(chart, rng, 100))
+                    except ToricError:
+                        out = "error"
+                    digest.update(f"{out}\n".encode())
+        assert digest.hexdigest() == SWEEP_PIN
+
+
+class TestSweepScale:
+    """A warm chart's sweep does no exact arithmetic per sample."""
+
+    @pytest.mark.parametrize("samples", [50, 400])
+    def test_second_residual_sweep(self, family_atlases, monkeypatch, samples):
+        # the first C3 chart whose unit functions expand, after its warm-up
+        for chart in family_atlases["C3"]:
+            try:
+                assert residual_sweep(chart, random.Random(0), 100) <= 1e-9
+                break
+            except ToricError:
+                continue
+        else:
+            pytest.fail("no C3 chart expands its unit functions")
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(charts, "unit_root", counted("unit_root", charts.unit_root))
+        monkeypatch.setattr(
+            Chart, "character_unit", counted("character_unit", Chart.character_unit)
+        )
+        assert residual_sweep(chart, random.Random(1), samples) <= 1e-9
+        assert calls["unit_root"] == 0
+        assert calls["character_unit"] <= len(chart.point_support())

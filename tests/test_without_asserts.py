@@ -50,7 +50,7 @@ for case in (
 """
 
 
-def run(*args, optimize):
+def run(*args, optimize, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -62,7 +62,7 @@ def run(*args, optimize):
         text=True,
         cwd=ROOT,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -83,3 +83,14 @@ def test_charts_verify_same_stdout():
     assert plain.returncode == stripped.returncode == 0, stripped.stderr
     assert "PASS" in plain.stdout
     assert stripped.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_unexpandable_chart_is_refused(optimize):
+    # an A3 chart has a character with no unit-function expansion; the
+    # expansion must stop with a typed error under -O too, not loop
+    argv = ("-m", "toricwonder.cli", "charts", "perfbench/families/A3.arr", "--verify")
+    proc = run(*argv, optimize=optimize, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
