@@ -314,13 +314,16 @@ def _closure(arr: Arrangement, ground, subset) -> tuple[int, ...]:
 def complete_subsets(arr: Arrangement, p: Layer) -> list[tuple[int, ...]]:
     """All flats of the localized character set at the point `p`.
 
-    Includes the empty set and the full localized set.
+    Includes the empty set and the full localized set.  Each flat is grown
+    from a smaller one by adding one element and closing.
     """
     ground = localized(arr, p)
-    flats = {()}
-    for size in range(1, len(ground) + 1):
-        for subset in itertools.combinations(ground, size):
-            flats.add(_closure(arr, ground, subset))
+    flats, work = {()}, [()]
+    while work:
+        flat = work.pop()
+        grown = {_closure(arr, ground, flat + (i,)) for i in ground if i not in flat}
+        work.extend(grown - flats)
+        flats |= grown
     return sorted(flats, key=lambda f: (len(f), f))
 
 

@@ -9,7 +9,6 @@ the irreducible pieces underlying the building set of layers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import InvalidBuildingSet, InvalidPartition, NotInPoset
@@ -57,36 +56,28 @@ def is_integral_decomposition(vectors, blocks) -> bool:
 
 
 def connected_components(vectors) -> Partition:
-    """Components of the linear matroid: the circuit-connectivity classes."""
-    n = len(vectors)
-    parent = list(range(n))
+    """Components of the linear matroid, the classes its circuits join.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    independent = {(): True}
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            indep = _rank([vectors[i] for i in subset]) == size
-            independent[subset] = indep
-            if indep:
-                continue
-            # circuit: dependent with all maximal proper subsets independent
-            if all(
-                independent[subset[:k] + subset[k + 1 :]] for k in range(size)
-            ):
-                for i in subset[1:]:
-                    union(subset[0], i)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return _canonical_partition(groups.values())
+    For a greedy basis B, the fundamental circuit of another vector e is e
+    and each b in B with B - b + e a basis; these circuits join every
+    component (Oxley, Matroid Theory, ch. 4).
+    """
+    basis: list[int] = []
+    for i, v in enumerate(vectors):
+        if _rank([vectors[b] for b in basis] + [v]) > len(basis):
+            basis.append(i)
+    blocks = [{i} for i in range(len(vectors))]
+    for e, v in enumerate(vectors):
+        if e in basis:
+            continue
+        circuit = {e}.union(
+            b
+            for b in basis
+            if _rank([vectors[c] for c in basis if c != b] + [v]) == len(basis)
+        )
+        joined = set().union(*(s for s in blocks if s & circuit))
+        blocks = [s for s in blocks if not s & circuit] + [joined]
+    return _canonical_partition(blocks)
 
 
 def _set_partitions(items):

@@ -34,10 +34,6 @@ def mat_mul(a, b) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def vec_mat(v, a):
     cols = list(zip(*a)) if a else []
     return tuple(sum(x * y for x, y in zip(v, col)) for col in cols)

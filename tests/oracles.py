@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own search strategies: the layer
 oracle solves the torsion system of every character subset, the Hasse
-oracle tests every triple of layers, the decomposition oracle scans every
-set partition, and the nestedness oracle enumerates every flag of layers
+oracle tests every triple of layers, the matroid-component oracle tests
+every vector subset for a circuit, the flat oracle closes every subset
+of the localized characters, the decomposition oracle scans every set
+partition, and the nestedness oracle enumerates every flag of layers
 and collects the factor sets.  The nested-set scans decide every subset
 of building-set members on its own, with `Layer.contains` and
 `is_complete` at each common point, and keep the ones that pass.
@@ -22,6 +24,7 @@ from toricwonder import (
     Flag,
     Layer,
     NestedSet,
+    Sublattice,
     WeightedCharacter,
     build_poset,
     factors,
@@ -29,8 +32,10 @@ from toricwonder import (
     is_complete,
     is_integral_decomposition,
     layer_components,
+    localized,
     normalize,
 )
+from toricwonder.arrangement import _closure
 from toricwonder.cli import parse_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +106,68 @@ def oracle_finest(vectors):
             best.append(blocks)
     assert best, "the trivial partition is always integral"
     return best[0], len(best) == 1
+
+
+def oracle_connected_components(vectors):
+    """Matroid components from every subset: each circuit joins its members."""
+
+    def rank(rows):
+        return Sublattice.from_rows(len(rows[0]), rows).rank if rows else 0
+
+    n = len(vectors)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    independent = {(): True}
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            independent[subset] = rank([vectors[i] for i in subset]) == size
+            # a circuit is dependent with every maximal proper subset independent
+            if not independent[subset] and all(
+                independent[subset[:k] + subset[k + 1 :]] for k in range(size)
+            ):
+                for i in subset[1:]:
+                    parent[find(i)] = find(subset[0])
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def oracle_complete_subsets(arr, p):
+    """Every flat at the point `p`: the closure of each localized subset."""
+    ground = localized(arr, p)
+    flats = {
+        _closure(arr, ground, subset)
+        for size in range(len(ground) + 1)
+        for subset in itertools.combinations(ground, size)
+    }
+    return sorted(flats, key=lambda f: (len(f), f))
+
+
+def root_system(kind, n):
+    """A_n in simple-root coordinates, B_n or C_n in the e-basis; every
+    root with the constant 0."""
+    if kind == "A":
+        roots = [
+            tuple(int(i <= k <= j) for k in range(n))
+            for i in range(n)
+            for j in range(i, n)
+        ]
+    else:
+        unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        scale = {"B": 1, "C": 2}[kind]
+        roots = [tuple(scale * x for x in e) for e in unit] + [
+            tuple(a + s * b for a, b in zip(unit[i], unit[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+            for s in (1, -1)
+        ]
+    return normalize(n, [(v, 0) for v in roots])
 
 
 def all_flags(poset):

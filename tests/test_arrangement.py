@@ -26,24 +26,14 @@ from toricwonder import arrangement
 from oracles import (
     ORACLE_CASES,
     case_arrangement,
+    oracle_complete_subsets,
     oracle_hasse_edges,
     oracle_layers,
     random_arrangement,
+    root_system,
 )
 
 F = Fraction
-
-
-def root_system(kind, n):
-    """B_n or C_n in the e-basis, every root with the constant 0."""
-    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    scale = 1 if kind == "B" else 2
-    roots = [tuple(scale * x for x in e) for e in unit]
-    for i in range(n):
-        for j in range(i + 1, n):
-            roots.append(tuple(a + b for a, b in zip(unit[i], unit[j])))
-            roots.append(tuple(a - b for a, b in zip(unit[i], unit[j])))
-    return normalize(n, [(v, 0) for v in roots])
 
 
 class TestNormalize:
@@ -241,6 +231,22 @@ class TestFlats:
         assert is_complete(arr, p1, (0,))
         assert is_complete(arr, p1, (0, 1))
         assert not is_complete(arr, p1, (2,))
+
+
+class TestFlatsOracle:
+    """Closure-grown flats against the subset scan they replaced."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_subset_scan(self, case):
+        poset = build_poset(case_arrangement(case))
+        arr = poset.arrangement
+        for p in poset.points:
+            flats = complete_subsets(arr, p)
+            assert flats == oracle_complete_subsets(arr, p)
+            # independent of both: the non-empty flats at p are exactly the
+            # supports of the layers through p
+            through = [l.support for l in poset.layers if l.contains(p)]
+            assert flats[0] == () and sorted(flats[1:]) == sorted(through)
 
 
 class TestLayerFromCompleteSet:

@@ -7,6 +7,7 @@ from toricwonder import (
     InvalidBuildingSet,
     InvalidPartition,
     NotInPoset,
+    build_poset,
     connected_components,
     custom_building_set,
     factors,
@@ -18,7 +19,15 @@ from toricwonder import (
     is_z_irreducible,
     point_layer,
 )
-from oracles import oracle_finest, random_vectors
+from toricwonder import decomposition
+from oracles import (
+    ORACLE_CASES,
+    case_arrangement,
+    oracle_connected_components,
+    oracle_finest,
+    random_vectors,
+    root_system,
+)
 
 F = Fraction
 
@@ -59,6 +68,73 @@ class TestConnectedComponents:
 
     def test_triple_connected(self):
         assert connected_components([(1, 0), (0, 1), (1, 1)]) == ((0, 1, 2),)
+
+
+class TestComponentsOracle:
+    """Fundamental-circuit components against the subset scan they replaced."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_every_layer_support(self, case):
+        poset = build_poset(case_arrangement(case))
+        chars = poset.arrangement.characters
+        for layer in poset.layers:
+            vectors = [chars[i].vector for i in layer.support]
+            assert connected_components(vectors) == oracle_connected_components(
+                vectors
+            )
+
+    def test_random_vector_sets(self):
+        rng = random.Random(606)
+        cases = [[], [(0, 0)], [(1, 0), (1, 0)], [(0, 0), (1, 0), (0, 0), (2, 0)]]
+        for _ in range(400):
+            rank = rng.randint(1, 3)
+            vectors = [
+                tuple(rng.randint(-2, 2) for _ in range(rank))
+                for _ in range(rng.randint(0, 6))
+            ]
+            if vectors and rng.random() < 0.5:
+                vectors.insert(rng.randrange(len(vectors)), rng.choice(vectors))
+            if rng.random() < 0.3:
+                vectors.insert(rng.randint(0, len(vectors)), (0,) * rank)
+            cases.append(vectors)
+        assert sum(len(set(v)) < len(v) for v in cases) > 100
+        assert sum(any(not any(x) for x in v) for v in cases) > 100
+        for vectors in cases:
+            assert connected_components(vectors) == oracle_connected_components(
+                vectors
+            )
+
+
+class TestBuildingSetScale:
+    def test_b4_members_and_rank_calls(self, monkeypatch):
+        poset = build_poset(root_system("B", 4))
+        rank, components = decomposition._rank, decomposition.connected_components
+        calls, counts = [], []
+
+        def counted_rank(vectors):
+            calls.append(len(vectors))
+            return rank(vectors)
+
+        def counted_components(vectors):
+            before = len(calls)
+            out = components(vectors)
+            counts.append((len(vectors), rank(vectors), len(calls) - before))
+            return out
+
+        monkeypatch.setattr(decomposition, "_rank", counted_rank)
+        monkeypatch.setattr(decomposition, "connected_components", counted_components)
+        building = irreducible_layers(poset)
+        assert len(building.members) == 62
+        assert len(counts) == len(poset.layers) == 160
+        # k tests find the greedy basis, r more each fundamental circuit;
+        # with the 2^k subset scan, irreducible_layers made 74,740 here
+        for k, r, n in counts:
+            assert n <= k + r * (k - r)
+
+    def test_c4_members(self):
+        poset = build_poset(root_system("C", 4))
+        assert len(poset.arrangement.characters) == 20
+        assert len(irreducible_layers(poset).members) == 66
 
 
 class TestFinest:

@@ -19,7 +19,6 @@ from toricwonder import (
     enumerate_maximal,
     irreducible_layers,
     is_nested,
-    normalize,
     point_layer,
     successor,
 )
@@ -34,6 +33,7 @@ from oracles import (
     oracle_maximal_nested,
     oracle_nested_family,
     random_arrangement,
+    root_system,
 )
 
 F = Fraction
@@ -308,23 +308,9 @@ class TestNestedOracle:
                     assert a.contains(b) == (not a.mask & ~b.mask)
 
 
-def roots_a(n):
-    """Positive roots of A_n in simple-root coordinates."""
-    return [
-        tuple(int(i <= k <= j) for k in range(n)) for i in range(n) for j in range(i, n)
-    ]
-
-
 class TestNestedScale:
     def test_c3_contains_calls(self, monkeypatch):
-        unit = [tuple(int(k == i) for k in range(3)) for i in range(3)]
-        roots = [tuple(2 * x for x in e) for e in unit] + [
-            tuple(a + s * b for a, b in zip(unit[i], unit[j]))
-            for i in range(3)
-            for j in range(i + 1, 3)
-            for s in (1, -1)
-        ]
-        poset = build_poset(normalize(3, [(v, 0) for v in roots]))
+        poset = build_poset(root_system("C", 3))
         building = irreducible_layers(poset)
         calls = []
         contains = arrangement.Layer.contains
@@ -340,7 +326,7 @@ class TestNestedScale:
         assert len(calls) <= 3231
 
     def test_a4_count(self):
-        poset = build_poset(normalize(4, [(v, 0) for v in roots_a(4)]))
+        poset = build_poset(root_system("A", 4))
         assert len(poset.arrangement.characters) == 10
         sets = enumerate_all_maximal(poset, irreducible_layers(poset))
         assert len(sets) == 105
