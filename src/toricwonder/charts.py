@@ -13,9 +13,9 @@ is read off the same coordinates.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     InvalidGerm,
@@ -24,6 +24,7 @@ from .errors import (
     NotExpandable,
     NotInBuildingSet,
     NotInOverlap,
+    NotNested,
     OnDivisor,
     OutsideDomain,
 )
@@ -35,6 +36,7 @@ from .lattices import (
     determinant,
     express_in_rows,
     hermite_basis,
+    identity_matrix,
     intersect,
     invert_unimodular,
     mod1,
@@ -92,20 +94,18 @@ def adapted_basis_rows(members) -> list[Vector]:
         return rows_rest
     # quotient generators of lat_all / lat_rest, lifted into the minimal
     # member's lattice and canonically reduced
-    coords = tuple(lat_all.coords(row) for row in lat_rest.basis)
+    gens = identity_matrix(lat_all.rank)
+    if lat_rest.rank:
+        coords = tuple(lat_all.coords(row) for row in lat_rest.basis)
+        gens = invert_unimodular(smith_normal_form(coords).right)[lat_rest.rank :]
     new_rows = []
-    if not coords:
-        gens = [tuple(int(i == j) for j in range(lat_all.rank)) for i in range(lat_all.rank)]
-    else:
-        snf = smith_normal_form(coords)
-        vinv = invert_unimodular(snf.right)
-        gens = list(vinv[lat_rest.rank :])
     stacked = tuple(c.lattice.basis) + tuple(lat_rest.basis)
     overlap = intersect(lat_rest, c.lattice)
     for g in gens:
         ambient = vec_mat(g, lat_all.basis)
         combo = express_in_rows(stacked, ambient)
-        assert combo is not None, "quotient generator must lift"
+        if combo is None:
+            raise NotAdapted("a quotient generator does not lift to the member")
         lift = vec_mat(combo[: c.lattice.rank], c.lattice.basis)
         new_rows.append(overlap.reduce(lift)[1])
     return rows_rest + new_rows
@@ -216,12 +216,23 @@ class Chart:
             tuple(j for j, inside in enumerate(self.below) if i in inside)
             for i in range(self.rank)
         )
-        succ = []
-        for i, inside in enumerate(self.below):
-            proper = [members[j] for j in inside if j != i]
-            succ.append(members.index(top_member(proper)) if proper else None)
-        self.succ = tuple(succ)
+        self.succ = tuple(
+            self._top([j for j in inside if j != i])
+            for i, inside in enumerate(self.below)
+        )
         self._basis_inv = invert_unimodular(self.basis)
+
+    def _top(self, indices) -> int | None:
+        """The member of largest dimension among `indices`, None if there are
+        none; like `top_member`, raises NotNested unless they form a chain."""
+        if not indices:
+            return None
+        top = max(indices, key=lambda i: self.members[i].dim)
+        if not set(indices).issubset(self.below[top]):
+            raise NotNested(
+                f"the layers {[self.members[i] for i in indices]} do not form a chain"
+            )
+        return top
 
     @property
     def center(self) -> Layer:
@@ -242,13 +253,9 @@ class Chart:
 
     def member_character_values(self, z) -> list[complex]:
         """The value of each basis character at the image torus point."""
-        out = []
-        for inside, root in zip(self.below, self._roots):
-            prod = 1 + 0j
-            for e in inside:
-                prod *= z[e]
-            out.append(prod + root)
-        return out
+        return [
+            self.coordinate_monomial(z, i) + root for i, root in enumerate(self._roots)
+        ]
 
     def in_coordinate_domain(self, z) -> bool:
         return self._in_domain(self.member_character_values(z))
@@ -273,29 +280,30 @@ class Chart:
         return _int_power_product(t, vector)
 
     def torus_to_chart(self, t) -> tuple[complex, ...]:
-        nums = [
-            self.character_value(t, row) - root
-            for row, root in zip(self.basis, self._roots)
-        ]
-        out = []
-        for i in range(self.rank):
-            if self.succ[i] is None:
-                out.append(nums[i])
-            else:
-                den = nums[self.succ[i]]
-                if abs(den) <= self.tolerance:
-                    raise OnDivisor(
-                        f"coordinate {i}: successor character sits on its divisor"
-                    )
-                out.append(nums[i] / den)
-        return tuple(out)
+        nums = list(_numerators(t, self.basis, self._roots))
+        for i, j in enumerate(self.succ):
+            if j is not None and abs(nums[j]) <= self.tolerance:
+                raise OnDivisor(
+                    f"coordinate {i}: successor character sits on its divisor"
+                )
+        return tuple(x if j is None else x / nums[j] for x, j in zip(nums, self.succ))
 
     # -- the unit functions --------------------------------------------
 
     def constant_member(self, vector) -> Layer | None:
         """The largest member on which the character matches its value at p."""
-        return maximal_constant_member(
-            self.members, self.point_coordinates, vector
+        c = self._top_constant(vec_mat(vector, self._basis_inv))
+        return None if c is None else self.members[c]
+
+    def _top_constant(self, coeffs) -> int | None:
+        """The largest member on which the character with these chart-basis
+        coefficients is constant.  Adaptedness makes each member's lattice the
+        span of the basis vectors of the members containing it, so these are
+        the members whose `_above` covers the coefficient support; all of
+        them hold the center, so the constant is the value at p."""
+        support = {j for j, x in enumerate(coeffs) if x}
+        return self._top(
+            [i for i, up in enumerate(self._above) if support.issubset(up)]
         )
 
     def character_unit(self, vector, value: Fraction) -> ChartFunction:
@@ -305,43 +313,41 @@ class Chart:
         return self._functions[key]
 
     def _expand(self, vector, value) -> ChartFunction:
+        """Telescope character - constant over the chart basis.
+
+        With coefficients m_c in the chart basis the character is the
+        product of the basis characters x_c^{m_c}.  Peeling one member at a
+        time, largest constant member first, writes character - constant as
+        a sum of terms: a constant, times x_c^{m_c} - zeta_c^{m_c}, times
+        the factors not yet peeled.  That difference is x_c - zeta_c, the
+        coordinate monomial of member c, times the linear factors of
+        `BetaTerm`, so dividing by the base member's monomial leaves the
+        coordinates in `ChartFunction._extra`.
+        """
         if pairing(vector, self.point_coordinates) != value:
             raise OutsideDomain(
                 "the character does not pass through the chart center"
             )
+        coeffs = list(vec_mat(vector, self._basis_inv))
         terms = []
         pref = Fraction(0)
-        cur = tuple(vector)
         base = None
-        while any(cur):
-            layer = self.constant_member(cur)
-            if layer is None:
+        while any(coeffs):
+            c = self._top_constant(coeffs)
+            if c is None:
                 raise NotExpandable(
-                    f"character {list(cur)} is constant on no member of the chart"
+                    f"character {list(vector)} is constant on no member of the chart"
                 )
-            c = self.index_of(layer)
             if base is None:
                 base = c
-            coeffs = vec_mat(cur, self._basis_inv)
-            if any(
-                coeffs[j] != 0
-                for j in range(self.rank)
-                if j not in self.below_inverse(c)
-            ):
-                raise NotExpandable(
-                    f"character {list(cur)} uses basis vectors of members "
-                    f"not containing member {c}"
-                )
             m_c = coeffs[c]
             if m_c == 0:
                 raise NotExpandable(
-                    f"character {list(cur)} has no component on the basis "
-                    f"vector of member {c}, its largest constant member"
+                    f"character {list(vector)} has no component on the basis "
+                    f"vector of member {c}, the largest constant member left"
                 )
             monomial = [
-                (j, coeffs[j])
-                for j in self.below_inverse(c)
-                if j != c and coeffs[j] != 0
+                (j, coeffs[j]) for j in self._above[c] if j != c and coeffs[j]
             ]
             sign = 1
             angle = pref
@@ -356,9 +362,7 @@ class Chart:
             )
             terms.append(BetaTerm(c, sign, mod1(angle), tuple(monomial), linear))
             pref += m_c * self.constants[c]
-            cur = tuple(
-                x - m_c * y for x, y in zip(cur, self.basis[c])
-            )
+            coeffs[c] = 0
         if base is None:
             raise NotExpandable("the trivial character has no unit function")
         return ChartFunction(self, tuple(vector), value, base, tuple(terms))
@@ -369,12 +373,8 @@ class Chart:
         if self._units is None:
             chars = self.poset.arrangement.characters
             self._units = tuple(
-                (
-                    self.character_unit(chars[i].vector, chars[i].value),
-                    chars[i].vector,
-                    unit_root(chars[i].value),
-                )
-                for i in self.point_support()
+                (self.character_unit(c.vector, c.value), c.vector, unit_root(c.value))
+                for c in (chars[i] for i in self.point_support())
             )
         return self._units
 
@@ -393,24 +393,21 @@ class Chart:
         if any(abs(v) <= self.tolerance for v in values):
             return False
         t = self._to_torus(values)
-        arr = self.poset.arrangement
-        for layer in self.poset.layers:
-            if layer.contains(self.center):
-                continue
-            if self._on_layer(t, layer):
+        for rows, roots in self._far_layers:
+            if all(abs(x) <= self.tolerance for x in _numerators(t, rows, roots)):
                 return False
-        for i in self.point_support():
-            ch = arr.characters[i]
-            f = self.character_unit(ch.vector, ch.value)
-            if abs(f._at(z, values)) <= self.tolerance:
-                return False
-        return True
+        return all(
+            abs(f._at(z, values)) > self.tolerance for f, _, _ in self._support_units()
+        )
 
-    def _on_layer(self, t, layer: Layer) -> bool:
-        for row, val in zip(layer.lattice.basis, layer.values):
-            if abs(self.character_value(t, row) - unit_root(val)) > self.tolerance:
-                return False
-        return True
+    @cached_property
+    def _far_layers(self):
+        """(basis rows, roots of their values) of each layer missing the center."""
+        return tuple(
+            (layer.lattice.basis, tuple(unit_root(v) for v in layer.values))
+            for layer in self.poset.layers
+            if not layer.contains(self.center)
+        )
 
     def coordinate_monomial(self, z, base_member: int) -> complex:
         prod = 1 + 0j
@@ -425,6 +422,11 @@ def _int_power_product(values, exponents) -> complex:
         if e:
             out *= v ** e
     return out
+
+
+def _numerators(t, rows, roots):
+    """Each character's value at t minus the root of its constant, lazily."""
+    return (_int_power_product(t, row) - root for row, root in zip(rows, roots))
 
 
 def build_chart(
@@ -517,32 +519,23 @@ def transition(source: Chart, target: Chart, z) -> tuple[tuple[complex, ...], Tr
 def _transition_on_divisor(source, target, z, t):
     """Successor ratios computed through the source chart's unit functions."""
     phi = source.point_coordinates
+    nums = list(_numerators(t, target.basis, target._roots))
     out = []
-    for i in range(target.rank):
-        num_vec = target.basis[i]
-        num_val = target.constants[i]
-        if target.succ[i] is None:
-            out.append(
-                target.character_value(t, num_vec) - unit_root(num_val)
-            )
+    for i, j in enumerate(target.succ):
+        if j is None:
+            out.append(nums[i])
             continue
-        j = target.succ[i]
-        den = target.character_value(t, target.basis[j]) - unit_root(
-            target.constants[j]
-        )
-        num = target.character_value(t, num_vec) - unit_root(num_val)
-        if abs(den) > target.tolerance:
-            out.append(num / den)
+        if abs(nums[j]) > target.tolerance:
+            out.append(nums[i] / nums[j])
             continue
         # both characters vanish towards the divisor: factor through the
         # source chart and cancel common coordinate monomials exactly
-        for vec, val in ((num_vec, num_val), (target.basis[j], target.constants[j])):
-            if pairing(vec, phi) != mod1(val):
-                raise NotInOverlap(
-                    "a vanishing target character misses the source center"
-                )
-        fnum = source.character_unit(num_vec, num_val)
-        fden = source.character_unit(target.basis[j], target.constants[j])
+        pair = [(target.basis[k], target.constants[k]) for k in (i, j)]
+        if any(pairing(vec, phi) != val for vec, val in pair):
+            raise NotInOverlap(
+                "a vanishing target character misses the source center"
+            )
+        fnum, fden = (source.character_unit(vec, val) for vec, val in pair)
         below_num = set(source.below[fnum.base_member])
         below_den = set(source.below[fden.base_member])
         if not below_den <= below_num:
@@ -603,10 +596,8 @@ class CurveGerm:
 
     def order(self, vector):
         """1-based order of vanishing of the character along the germ."""
-        for j, v in enumerate(self.jets, start=1):
-            if sum(Fraction(x) * y for x, y in zip(vector, v)) != 0:
-                return j
-        return None
+        jets = range(1, len(self.jets) + 1)
+        return next((j for j in jets if self.pairing(vector, j) != 0), None)
 
     def pairing(self, vector, j) -> Fraction:
         return sum(Fraction(x) * y for x, y in zip(vector, self.jets[j - 1]))
@@ -652,51 +643,43 @@ def chart_for_curve(
             comps = intersection_components(arr, collected + [cand])
             if any(c.contains(p) for c in comps):
                 collected.append(cand)
-    assert len(collected) == n, "could not complete to a maximal nested set"
+    if len(collected) != n:
+        raise InvalidGerm("the germ's flag does not complete to a maximal nested set")
     nested_set = NestedSet(tuple(collected), p)
     chart = build_chart(poset, nested_set, tolerance=tolerance)
     chart = _fit_basis_to_germ(poset, chart, germ)
     z_limit = _limit_coordinates(chart, germ)
-    assert chart.in_chart(z_limit), "curve limit must land inside the chart"
+    if not chart.in_chart(z_limit):
+        raise InvalidGerm("the curve limit lies outside its chart")
     return chart, z_limit
-
-
-def _level(chart: Chart, germ: CurveGerm, member: Layer) -> int:
-    arr = chart.poset.arrangement
-    return min(germ.order(arr.characters[i].vector) for i in member.support)
 
 
 def _fit_basis_to_germ(poset, chart: Chart, germ: CurveGerm) -> Chart:
     """Adjust the adapted basis so each assigned character vanishes at the
     minimal order available on its member (required for finite limits)."""
-    rows = {i: chart.basis[i] for i in range(chart.rank)}
+    chars = poset.arrangement.characters
+    rows = list(chart.basis)
     order = sorted(
         range(chart.rank), key=lambda i: chart.members[i].lattice.rank
     )
-    changed = False
     for i in order:
-        h = _level(chart, germ, chart.members[i])
+        h = min(germ.order(chars[k].vector) for k in chart.members[i].support)
         nval = germ.order(rows[i])
         if nval is not None and nval <= h:
             continue
-        donor = None
-        for j in range(chart.rank):
-            if j == i or not chart.members[j].contains(chart.members[i]):
-                continue
-            nj = germ.order(rows[j])
-            if nj == h:
-                donor = j
-                break
-        assert donor is not None, "a germ-compatible adjustment must exist"
+        donor = next(
+            (j for j in chart.below_inverse(i) if j != i and germ.order(rows[j]) == h),
+            None,
+        )
+        if donor is None:
+            raise NotAdapted(
+                f"no member containing member {i} has a basis vector of order {h}"
+            )
         rows[i] = tuple(x + y for x, y in zip(rows[i], rows[donor]))
-        changed = True
-    if not changed:
+    if rows == list(chart.basis):
         return chart
     return build_chart(
-        poset,
-        chart.nested_set,
-        basis_rows=[rows[i] for i in range(chart.rank)],
-        tolerance=chart.tolerance,
+        poset, chart.nested_set, basis_rows=rows, tolerance=chart.tolerance
     )
 
 
@@ -709,12 +692,13 @@ def _limit_coordinates(chart: Chart, germ: CurveGerm) -> tuple[complex, ...]:
             continue
         ni = germ.order(chart.basis[i])
         nj = germ.order(chart.basis[j])
-        assert nj is not None, "successor character must leave its hypersurface"
+        if nj is None:
+            raise InvalidGerm("a successor character stays on its hypersurface")
         if ni is None or ni > nj:
             out.append(0j)
         elif ni == nj:
-            num = unit_root(chart.constants[i]) * germ.pairing(chart.basis[i], ni)
-            den = unit_root(chart.constants[j]) * germ.pairing(chart.basis[j], nj)
+            num = chart._roots[i] * germ.pairing(chart.basis[i], ni)
+            den = chart._roots[j] * germ.pairing(chart.basis[j], nj)
             out.append(num / den)
         else:
             raise InvalidGerm("the germ has no limit in the selected chart")
@@ -730,18 +714,23 @@ def _sample_coordinate(rng) -> complex:
     return r * cmath.exp(1j * theta)
 
 
+def _domain_samples(chart: Chart, rng, samples: int):
+    """(z, member character values, torus point) of each of `samples` random
+    chart points whose torus coordinates do not vanish."""
+    for _ in range(samples):
+        z = tuple(_sample_coordinate(rng) for _ in range(chart.rank))
+        values = chart.member_character_values(z)
+        if chart._in_domain(values):
+            yield z, values, chart._to_torus(values)
+
+
 def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
     """Max relative defect of unit * monomial == character - constant.
 
     The unit functions are expanded at the first sample in the domain.
     """
     worst = 0.0
-    for _ in range(samples):
-        z = tuple(_sample_coordinate(rng) for _ in range(chart.rank))
-        values = chart.member_character_values(z)
-        if not chart._in_domain(values):
-            continue
-        t = chart._to_torus(values)
+    for z, values, t in _domain_samples(chart, rng, samples):
         for f, vector, root in chart._support_units():
             lhs = f._at(z, values) * chart.coordinate_monomial(z, f.base_member)
             value = chart.character_value(t, vector)
@@ -752,12 +741,7 @@ def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
 
 def roundtrip_sweep(chart: Chart, rng, samples: int = 100) -> float:
     worst = 0.0
-    for _ in range(samples):
-        z = tuple(_sample_coordinate(rng) for _ in range(chart.rank))
-        values = chart.member_character_values(z)
-        if not chart._in_domain(values):
-            continue
-        t = chart._to_torus(values)
+    for z, _, t in _domain_samples(chart, rng, samples):
         try:
             z_back = chart.torus_to_chart(t)
         except OnDivisor:
@@ -797,18 +781,14 @@ def cover_sweep(charts, rng, samples: int = 500, tolerance: float = 1e-6) -> int
     points that fall numerically close to a hypersurface."""
     if not charts:
         return 0
-    poset = charts[0].poset
-    arr = poset.arrangement
-    n = arr.rank
+    arr = charts[0].poset.arrangement
+    roots = [unit_root(ch.value) for ch in arr.characters]
     covered = 0
     done = 0
     while done < samples:
-        phi = [rng.random() for _ in range(n)]
+        phi = [rng.random() for _ in range(arr.rank)]
         t = tuple(cmath.exp(2j * cmath.pi * x) for x in phi)
-        if any(
-            abs(_int_power_product(t, ch.vector) - unit_root(ch.value)) < tolerance
-            for ch in arr.characters
-        ):
+        if any(abs(x) < tolerance for x in _numerators(t, arr.vectors, roots)):
             continue
         done += 1
         for chart in charts:

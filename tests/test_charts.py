@@ -11,8 +11,10 @@ from toricwonder import (
     Chart,
     CurveGerm,
     InvalidGerm,
+    Layer,
     NotAdapted,
     NotInBuildingSet,
+    NotNested,
     OnDivisor,
     OutsideDomain,
     ToricError,
@@ -33,7 +35,7 @@ from toricwonder import charts
 from toricwonder.charts import maximal_constant_member
 from toricwonder.cli import parse_file
 from toricwonder.lattices import determinant, hermite_basis
-from oracles import random_arrangement
+from oracles import ARR_FILES, random_arrangement
 
 F = Fraction
 
@@ -55,14 +57,33 @@ def chart_with(poset, building, point, member_basis, explicit=None):
 
 
 @pytest.fixture(scope="module")
-def family_atlases():
-    """The atlas of each of A3, B3 and C3, read from the bench families."""
+def bench_atlases():
+    """(arrangement, atlas) of each bench family and example file, by name."""
     out = {}
-    for fam in ("A3", "B3", "C3"):
-        arr, _ = parse_file(str(FAMILIES / f"{fam}.arr"))
+    for path in ARR_FILES:
+        arr, _ = parse_file(str(path))
         poset = build_poset(arr)
-        out[fam] = atlas(poset, irreducible_layers(poset))
+        out[path.stem] = (arr, atlas(poset, irreducible_layers(poset)))
     return out
+
+
+@pytest.fixture(scope="module")
+def family_atlases(bench_atlases):
+    """The atlas of each of A3, B3 and C3, read from the bench families."""
+    return {fam: bench_atlases[fam][1] for fam in ("A3", "B3", "C3")}
+
+
+def count_calls(monkeypatch, cls, names) -> Counter:
+    """Count the calls of the named methods of `cls` from now on."""
+    calls = Counter()
+    for name in names:
+
+        def wrapper(*args, _fn=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +172,58 @@ class TestConstantMember:
     def test_value_mismatch_falls_to_point(self, std_chart):
         # ts^{-1} is 1 at p1 but non-constant on H_ts
         assert std_chart.constant_member((1, -1)).dim == 0
+
+
+class TestChartTables:
+    """Exact questions answered from a chart's index tables."""
+
+    def test_constant_member_matches_exact_scan(self, bench_atlases):
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except NotNested:
+                return NotNested
+
+        rng = random.Random(3)
+        seen = Counter()
+        for arr, fam_atlas in bench_atlases.values():
+            for chart in fam_atlas:
+                vectors = [*arr.vectors, *chart.basis, (0,) * arr.rank]
+                vectors += [
+                    tuple(rng.randint(-2, 2) for _ in range(arr.rank)) for _ in range(5)
+                ]
+                phi = chart.point_coordinates
+                for v in vectors:
+                    want = outcome(maximal_constant_member, chart.members, phi, v)
+                    assert outcome(chart.constant_member, v) == want
+                    seen[want if want in (None, NotNested) else Layer] += 1
+        assert sum(len(a) for _, a in bench_atlases.values()) == 407
+        assert seen[Layer] > 0 and seen[NotNested] > 0
+
+    def test_character_unit_on_fresh_chart(self, doubled_square, monkeypatch):
+        arr, poset, building = doubled_square
+        fresh = atlas(poset, building)
+        calls = count_calls(monkeypatch, Layer, ["value_of", "contains"])
+        for chart in fresh:
+            for i in chart.point_support():
+                ch = arr.characters[i]
+                chart.character_unit(ch.vector, ch.value)
+            for row, value in zip(chart.basis, chart.constants):
+                chart.character_unit(row, value)
+        assert not calls
+
+    def test_second_in_chart(self, doubled_square, monkeypatch):
+        arr, poset, building = doubled_square
+        fresh = atlas(poset, building)
+        for chart in fresh:
+            assert chart.in_chart((0j,) * chart.rank)
+        calls = count_calls(monkeypatch, Layer, ["value_of", "contains"])
+        rng = random.Random(4)
+        for chart in fresh:
+            for _ in range(20):
+                z = tuple(charts._sample_coordinate(rng) for _ in range(chart.rank))
+                chart.in_chart(z)
+        assert not calls
 
 
 class TestChartToTorus:
