@@ -305,10 +305,11 @@ def localized(arr: Arrangement, p: Layer) -> tuple[int, ...]:
 
 
 def _closure(arr: Arrangement, ground, subset) -> tuple[int, ...]:
+    """The characters of `ground` in the rational span of `subset`: an
+    integer vector is in that span iff it is in the span's saturation."""
     span = Sublattice.from_rows(arr.rank, [arr.characters[i].vector for i in subset])
-    return tuple(
-        i for i in ground if span.spans_rationally(arr.characters[i].vector)
-    )
+    sat = saturate(span)
+    return tuple(i for i in ground if arr.characters[i].vector in sat)
 
 
 def complete_subsets(arr: Arrangement, p: Layer) -> list[tuple[int, ...]]:
