@@ -321,8 +321,17 @@ class Chart:
         a sum of terms: a constant, times x_c^{m_c} - zeta_c^{m_c}, times
         the factors not yet peeled.  That difference is x_c - zeta_c, the
         coordinate monomial of member c, times the linear factors of
-        `BetaTerm`, so dividing by the base member's monomial leaves the
-        coordinates in `ChartFunction._extra`.
+        `BetaTerm`.  The base member, the first peeled, is the largest
+        constant member of the character, so every member with a non-zero
+        coefficient contains it; dividing each term by the base's monomial
+        leaves the coordinates in `ChartFunction._extra`.
+
+        Exact certificate: each term but the base's has its own member's
+        coordinate among those, so the unit's value at the chart origin is
+        the base term alone, sign * zeta^angle * prod zeta_j^{m_j} *
+        prod (zeta_b - zeta_b omega^j) over the k-th roots omega^j != 1,
+        k = |m_b|.  It is non-zero iff the base coefficient m_b is, which
+        is checked here exactly.
         """
         if pairing(vector, self.point_coordinates) != value:
             raise OutsideDomain(
@@ -340,14 +349,17 @@ class Chart:
                 )
             if base is None:
                 base = c
+            elif coeffs[c] == 0:
+                # any member left with a non-zero coefficient contains the base
+                c = next(j for j in self._above[base] if coeffs[j])
             m_c = coeffs[c]
             if m_c == 0:
                 raise NotExpandable(
                     f"character {list(vector)} has no component on the basis "
-                    f"vector of member {c}, the largest constant member left"
+                    f"vector of member {c}, its largest constant member"
                 )
             monomial = [
-                (j, coeffs[j]) for j in self._above[c] if j != c and coeffs[j]
+                (j, coeffs[j]) for j in self._above[base] if j != c and coeffs[j]
             ]
             sign = 1
             angle = pref

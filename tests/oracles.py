@@ -8,7 +8,10 @@ of the localized characters, the decomposition oracle scans every set
 partition, and the nestedness oracle enumerates every flag of layers
 and collects the factor sets.  The nested-set scans decide every subset
 of building-set members on its own, with `Layer.contains` and
-`is_complete` at each common point, and keep the ones that pass.
+`is_complete` at each common point, and keep the ones that pass.  The
+expansion oracle is the original residual-vector expansion of a character
+in a chart: it finds each member by an exact `Layer.value_of` scan and
+stops where a residual has no component on its largest constant member.
 """
 
 import itertools
@@ -36,7 +39,9 @@ from toricwonder import (
     normalize,
 )
 from toricwonder.arrangement import _closure
+from toricwonder.charts import BetaTerm, ChartFunction, maximal_constant_member
 from toricwonder.cli import parse_file
+from toricwonder.lattices import mod1, vec_mat
 
 ROOT = Path(__file__).resolve().parent.parent
 ARR_FILES = sorted((ROOT / "perfbench" / "families").glob("*.arr")) + sorted(
@@ -337,3 +342,33 @@ def random_arrangement(rng: random.Random, rank=None, count=None) -> Arrangement
             return normalize(rank, raw)
         except Exception:
             continue
+
+
+def oracle_expand(chart, vector, value):
+    """The unit function of a character through the chart center, peeling
+    the residual character's largest constant member, found by an exact
+    scan of every member, until nothing is left; None where a residual has
+    no component on that member."""
+    terms, pref, cur, base = [], Fraction(0), tuple(vector), None
+    while any(cur):
+        layer = maximal_constant_member(chart.members, chart.point_coordinates, cur)
+        c = chart.members.index(layer)
+        base = c if base is None else base
+        coeffs = vec_mat(cur, chart._basis_inv)
+        m = coeffs[c]
+        if m == 0:
+            return None
+        above = chart.below_inverse(c)
+        monomial = [(j, coeffs[j]) for j in above if j != c and coeffs[j] != 0]
+        sign, angle, k = 1, pref, abs(m)
+        if m < 0:
+            sign = -1
+            monomial.append((c, m))
+            angle += m * chart.constants[c]
+        linear = tuple(
+            (c, mod1(chart.constants[c] + Fraction(j, k))) for j in range(1, k)
+        )
+        terms.append(BetaTerm(c, sign, mod1(angle), tuple(monomial), linear))
+        pref += m * chart.constants[c]
+        cur = tuple(x - m * y for x, y in zip(cur, chart.basis[c]))
+    return ChartFunction(chart, tuple(vector), value, base, tuple(terms))

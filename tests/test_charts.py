@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -33,17 +34,21 @@ from toricwonder import (
 )
 from toricwonder import charts
 from toricwonder.charts import maximal_constant_member
-from toricwonder.cli import parse_file
+from toricwonder.cli import main, parse_file
 from toricwonder.lattices import determinant, hermite_basis
-from oracles import ARR_FILES, random_arrangement
+from oracles import ARR_FILES, oracle_expand, random_arrangement, root_system
 
 F = Fraction
 
 FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "families"
 
-# sha256 of every A3, B3 and C3 sweep result below, recorded when each
-# sample still converted the chart's Fraction constants to floats
-SWEEP_PIN = "ecdfb4b6f4626aafa741d9a7face56a3e5fc62b130439167c05992384cd067e6"
+# sha256 of every A3, B3 and C3 sweep result below.  Re-recorded once every
+# chart expanded: the sweeps of a family share one random stream, and the
+# charts that used to stop at their first sample now draw all of theirs,
+# which moves the samples of the charts after them.
+# TestEveryChartExpands checks those charts against the old expansion with
+# one stream per chart.
+SWEEP_PIN = "e8cf4fe234dee585932a6601d39156e7a175d3758dbc1c7a81c190d1e0675ac3"
 
 
 def chart_with(poset, building, point, member_basis, explicit=None):
@@ -493,3 +498,120 @@ class TestSweepScale:
         assert residual_sweep(chart, random.Random(1), samples) <= 1e-9
         assert calls["unit_root"] == 0
         assert calls["character_unit"] <= len(chart.point_support())
+
+
+def support_characters(chart):
+    chars = chart.poset.arrangement.characters
+    return [chars[i] for i in chart.point_support()]
+
+
+def near_divisor(rng) -> complex:
+    """A chart coordinate of modulus in [0.01, 0.1), log-uniformly."""
+    return cmath.rect(10 ** rng.uniform(-2, -1), 2 * cmath.pi * rng.random())
+
+
+def germ_point(germ, s):
+    """The torus point exp(2 pi i (phi_p + sum_j s^j v_j)) of the germ."""
+    log = list(germ.point.coordinates)
+    for j, v in enumerate(germ.jets, start=1):
+        log = [x + s**j * y for x, y in zip(log, v)]
+    return tuple(cmath.exp(2j * cmath.pi * x) for x in log)
+
+
+class TestEveryChartExpands:
+    """Every character through a chart's center is a unit times the
+    coordinate monomial of its base member."""
+
+    def test_bench_and_example_charts(self, bench_atlases):
+        """With one RNG per chart, the charts the original expansion could
+        expand get unit functions with the same terms, and so sweep to the
+        same bits; every other chart expands too."""
+        old_ok = 0
+        for name, (arr, fam_atlas) in bench_atlases.items():
+            for k, chart in enumerate(fam_atlas):
+                seed = f"{name}:{k}"
+                assert residual_sweep(chart, random.Random(seed)) <= 1e-9
+                ref = build_chart(chart.poset, chart.nested_set)
+                old = [
+                    oracle_expand(ref, ch.vector, ch.value)
+                    for ch in support_characters(ref)
+                ]
+                if None in old:
+                    continue
+                old_ok += 1
+                for f in old:
+                    ref._functions[(f.vector, f.value)] = f
+                    assert chart.character_unit(f.vector, f.value).terms == f.terms
+                assert repr(residual_sweep(ref, random.Random(seed))) == repr(
+                    residual_sweep(chart, random.Random(seed))
+                )
+        assert old_ok == 359
+
+    def test_a4(self):
+        arr = root_system("A", 4)
+        poset = build_poset(arr)
+        fam_atlas = atlas(poset, irreducible_layers(poset))
+        assert len(fam_atlas) == 105
+        for k, chart in enumerate(fam_atlas):
+            assert residual_sweep(chart, random.Random(k), 20) <= 1e-9
+
+    def test_zero_character_has_no_unit(self, std_chart):
+        with pytest.raises(charts.NotExpandable):
+            std_chart.character_unit((0, 0), F(0))
+
+    def test_near_divisor(self, bench_atlases):
+        """The expansion holds at points with every |z_i| < 0.1, which the
+        sweeps never sample, and its value at the origin is the base term."""
+        rng = random.Random(10)
+        for arr, fam_atlas in bench_atlases.values():
+            for chart in fam_atlas:
+                origin = (0j,) * chart.rank
+                at_origin = chart.member_character_values(origin)
+                for f, _, _ in chart._support_units():
+                    assert f.terms[0].member == f.base_member
+                    assert f(origin) == f.terms[0].eval(at_origin)
+                    assert abs(f(origin)) > 1e-3
+                for _ in range(20):
+                    z = tuple(near_divisor(rng) for _ in range(chart.rank))
+                    values = chart.member_character_values(z)
+                    t = chart._to_torus(values)
+                    for f, vector, root in chart._support_units():
+                        mono = chart.coordinate_monomial(z, f.base_member)
+                        lhs = f._at(z, values) * mono
+                        rhs = chart.character_value(t, vector) - root
+                        assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs + root))
+                        assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
+
+
+def a3_former_crash_germs():
+    """The A3 curve germs of the bench query pool that crashed in the
+    expansion when the pool was pinned."""
+    expected = json.loads((FAMILIES.parent / "expected.json").read_text())
+    return [g for g in expected["curve_pool"]["A3"] if "crash" in g["expect"]]
+
+
+class TestFormerCrashGerms:
+    def test_limits(self):
+        germs = a3_former_crash_germs()
+        assert len(germs) == 22
+        arr, _ = parse_file(str(FAMILIES / "A3.arr"))
+        poset = build_poset(arr)
+        building = irreducible_layers(poset)
+        for g in germs:
+            p = poset.layers[int(g["point"][1:])]
+            jets = [v.split(",") for v in g["jets"].split(";")]
+            germ = CurveGerm(p, tuple(tuple(F(x) for x in v) for v in jets))
+            chart, z_limit = chart_for_curve(poset, building, germ)
+            # the germ's torus point converges to the limit at rate O(s)
+            errors = []
+            for s in (1e-3, 1e-4):
+                z = chart.torus_to_chart(germ_point(germ, s))
+                errors.append(max(abs(a - b) for a, b in zip(z, z_limit)))
+            assert errors[0] < 1e-1
+            assert errors[1] <= errors[0] / 5
+
+    def test_cli_exit_zero(self, capsys):
+        for g in a3_former_crash_germs():
+            path = str(FAMILIES / "A3.arr")
+            assert main(["curve", path, "--point", g["point"], f"--jets={g['jets']}"]) == 0
+            assert "limit chart" in capsys.readouterr().out
