@@ -25,6 +25,7 @@ from .errors import (
     NotInBuildingSet,
     NotInOverlap,
     NotNested,
+    NotUnimodular,
     OnDivisor,
     OutsideDomain,
 )
@@ -33,7 +34,6 @@ from .decomposition import BuildingSet, factors
 from .lattices import (
     Sublattice,
     Vector,
-    determinant,
     express_in_rows,
     hermite_basis,
     identity_matrix,
@@ -205,6 +205,8 @@ class Chart:
     _units: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
+        # first, so that a basis that is not unimodular fails before any other check
+        self._basis_inv = invert_unimodular(self.basis)
         phi = self.point_coordinates
         self.constants = tuple(pairing(row, phi) for row in self.basis)
         self._roots = tuple(unit_root(a) for a in self.constants)
@@ -220,7 +222,6 @@ class Chart:
             self._top([j for j in inside if j != i])
             for i, inside in enumerate(self.below)
         )
-        self._basis_inv = invert_unimodular(self.basis)
 
     def _top(self, indices) -> int | None:
         """The member of largest dimension among `indices`, None if there are
@@ -472,10 +473,10 @@ def build_chart(
             f"{len(assignment)} basis vectors for {len(members)} members"
         )
     basis = tuple(assignment[i] for i in range(len(members)))
-    # Chart inverts the basis, so unimodularity is checked first
-    if abs(determinant(basis)) != 1:
-        raise NotAdapted("the basis is not a basis of the character lattice")
-    chart = Chart(poset, nested_set, members, basis, tolerance)
+    try:
+        chart = Chart(poset, nested_set, members, basis, tolerance)
+    except NotUnimodular as exc:
+        raise NotAdapted("the basis is not a basis of the character lattice") from exc
     _check_adapted(chart)
     return chart
 

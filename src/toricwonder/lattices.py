@@ -2,8 +2,10 @@
 
 Hermite and Smith normal forms with transformation matrices, sublattice
 saturation, indices, basis completion, and congruence systems over the
-rational torus.  Everything here runs on arbitrary-precision integers and
-`fractions.Fraction`; no floating point.
+rational torus.  Every elimination is over arbitrary-precision integers,
+through the Hermite or Smith form; `fractions.Fraction` appears only for
+torus values (`pairing`, `solve_torsion_system`, `rational_coords`).  No
+floating point.
 
 Conventions: matrices are tuples of row tuples.  The Hermite normal form
 is row-style with positive pivots and entries above each pivot reduced
@@ -17,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .errors import NotContained, NotSaturated, NotUnimodular, ZeroVector
 
@@ -37,47 +39,6 @@ def mat_mul(a, b) -> Matrix:
 def vec_mat(v, a):
     cols = list(zip(*a)) if a else []
     return tuple(sum(x * y for x, y in zip(v, col)) for col in cols)
-
-
-def invert_unimodular(mat: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise NotUnimodular(f"matrix {mat} is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    if any(x.denominator != 1 for row in a for x in row[n:]):
-        raise NotUnimodular(f"matrix {mat} is not unimodular")
-    return tuple(tuple(int(x) for x in row[n:]) for row in a)
-
-
-def determinant(mat: Matrix) -> Fraction:
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 def hermite_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
@@ -125,6 +86,18 @@ def hermite_basis(rows) -> Matrix:
         return ()
     h, _ = hermite_normal_form(tuple(tuple(r) for r in rows))
     return tuple(r for r in h if any(r))
+
+
+def invert_unimodular(mat: Matrix) -> Matrix:
+    """Exact inverse of an integer matrix with determinant +-1.
+
+    A unimodular matrix has the identity as its Hermite form, so the
+    transform U with U @ mat == I is the inverse.
+    """
+    h, u = hermite_normal_form(mat)
+    if h != identity_matrix(len(mat)):
+        raise NotUnimodular(f"matrix {mat} is not unimodular")
+    return u
 
 
 @dataclass(frozen=True)
@@ -344,20 +317,22 @@ def lattice_index(inner: Sublattice, outer: Sublattice):
         coords.append(c)
     if inner.rank < outer.rank:
         return INFINITE
-    det = determinant(tuple(coords))
-    return abs(int(det))
+    # the coordinates are square and of full rank, so their Hermite basis is
+    # upper triangular with the index as the product of its diagonal
+    return prod(row[i] for i, row in enumerate(hermite_basis(coords)))
 
 
 def complete_to_basis(lattice: Sublattice) -> Matrix:
     """An n x n unimodular matrix whose first rank rows are a basis of `lattice`."""
-    if not is_saturated(lattice):
-        raise NotSaturated(f"lattice {lattice.basis} is not saturated")
     n = lattice.ambient_rank
     if lattice.rank == 0:
         return identity_matrix(n)
-    snf = smith_normal_form(lattice.basis)
-    # U B = first r rows of V^{-1}; the whole of V^{-1} completes them.
-    return invert_unimodular(snf.right)
+    # U B = D V^{-1}: the first r rows of V^{-1} span the saturation, and the
+    # whole of V^{-1} completes them.
+    vinv = invert_unimodular(smith_normal_form(lattice.basis).right)
+    if Sublattice.from_rows(n, vinv[: lattice.rank]) != lattice:
+        raise NotSaturated(f"lattice {lattice.basis} is not saturated")
+    return vinv
 
 
 def is_primitive(vector) -> bool:
@@ -428,23 +403,16 @@ class TorsionSolution:
 
 def solve_torsion_system(mat: Matrix, rhs) -> TorsionSolution | None:
     """Solve M phi = r (mod Z) for phi in (R/Z)^n; None if inconsistent."""
-    k = len(mat)
-    n = len(mat[0]) if k else 0
     snf = smith_normal_form(mat)
-    s = [sum(Fraction(x) * Fraction(y) for x, y in zip(row, rhs)) for row in snf.left]
-    rank = snf.rank
+    # D psi = U r (mod Z) with phi = V psi; each s[i] is taken mod 1, which
+    # only permutes the d_i solutions (s[i] + j) / d_i of its row
+    s = [pairing(row, rhs) for row in snf.left]
     divisors = snf.elementary_divisors
-    for i in range(rank, k):
-        if mod1(s[i]) != 0:
-            return None
+    if any(s[len(divisors) :]):
+        return None
     reps = []
     for combo in itertools.product(*(range(d) for d in divisors)):
-        psi = [Fraction(0)] * n
-        for i, (d, j) in enumerate(zip(divisors, combo)):
-            psi[i] = (s[i] + j) / d
-        phi = tuple(
-            mod1(sum(Fraction(snf.right[i][j]) * psi[j] for j in range(n)))
-            for i in range(n)
-        )
-        reps.append(phi)
+        # psi is zero past the rank, where V's columns span the kernel
+        psi = [(s[i] + j) / d for i, (d, j) in enumerate(zip(divisors, combo))]
+        reps.append(tuple(pairing(row, psi) for row in snf.right))
     return TorsionSolution(tuple(sorted(set(reps))), snf)

@@ -12,6 +12,8 @@ of building-set members on its own, with `Layer.contains` and
 expansion oracle is the original residual-vector expansion of a character
 in a chart: it finds each member by an exact `Layer.value_of` scan and
 stops where a residual has no component on its largest constant member.
+The inverse and determinant oracles are `Fraction` Gauss-Jordan and Gauss
+eliminations, independent of the library's integer Hermite form.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from toricwonder import (
     Flag,
     Layer,
     NestedSet,
+    NotUnimodular,
     Sublattice,
     WeightedCharacter,
     build_poset,
@@ -57,6 +60,48 @@ def case_arrangement(case):
     if isinstance(case, int):
         return random_arrangement(random.Random(case))
     return parse_file(str(case))[0]
+
+
+def oracle_inverse(mat):
+    """Exact inverse of a unimodular matrix by `Fraction` Gauss-Jordan."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise NotUnimodular(f"matrix {mat} is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if any(x.denominator != 1 for row in a for x in row[n:]):
+        raise NotUnimodular(f"matrix {mat} is not unimodular")
+    return tuple(tuple(int(x) for x in row[n:]) for row in a)
+
+
+def oracle_determinant(mat) -> Fraction:
+    """Determinant of a square integer matrix by `Fraction` Gauss elimination."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
 
 
 def oracle_layers(arr):

@@ -35,8 +35,14 @@ from toricwonder import (
 from toricwonder import charts
 from toricwonder.charts import maximal_constant_member
 from toricwonder.cli import main, parse_file
-from toricwonder.lattices import determinant, hermite_basis
+from toricwonder.lattices import (
+    Sublattice,
+    hermite_basis,
+    invert_unimodular,
+    lattice_index,
+)
 from oracles import ARR_FILES, oracle_expand, random_arrangement, root_system
+from oracles import oracle_determinant as determinant
 
 F = Fraction
 
@@ -148,6 +154,37 @@ class TestAdaptedBasis:
         arr, poset, building = two_lines
         with pytest.raises(NotAdapted):
             chart_with(poset, building, point_layer(arr, (0, 0)), ((1, 1),), rows)
+
+    def test_exact_checks_make_no_fraction(self, monkeypatch, two_lines):
+        """The inverse, the index and build_chart's basis check stay in integers."""
+        made = [0]
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        assert invert_unimodular(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+        outer = Sublattice.from_rows(3, [(1, 1, 0), (0, 1, 1)])
+        inner = Sublattice.from_rows(3, [(1, 3, 2), (2, 0, -2)])
+        assert lattice_index(inner, outer) == 6
+        assert made == [0]
+        checks = []
+
+        def spy(mat):
+            before = made[0]
+            try:
+                return invert_unimodular(mat)
+            finally:
+                checks.append((set(mat), made[0] - before))
+
+        monkeypatch.setattr(charts, "invert_unimodular", spy)
+        arr, poset, building = two_lines
+        p1 = point_layer(arr, (0, 0))
+        with pytest.raises(NotAdapted):
+            chart_with(poset, building, p1, ((1, 1),), [(1, 1), (2, 0)])
+        assert checks == [({(1, 1), (2, 0)}, 0)]
 
     def test_rejects_vector_constant_on_no_member(self, doubled_square):
         arr, poset, building = doubled_square

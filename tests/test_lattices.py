@@ -18,15 +18,36 @@ from toricwonder import (
     smith_normal_form,
     solve_torsion_system,
 )
+from toricwonder.errors import NotUnimodular
 from toricwonder.lattices import (
     INFINITE,
-    determinant,
     identity_matrix,
     invert_unimodular,
     mat_mul,
     mod1,
     vec_mat,
 )
+from oracles import oracle_determinant as determinant, oracle_inverse
+
+
+def random_matrix(rng, rows, cols, bound):
+    return tuple(
+        tuple(rng.randint(-bound, bound) for _ in range(cols)) for _ in range(rows)
+    )
+
+
+def random_unimodular(rng, n):
+    """A product of random elementary row operations on the identity."""
+    m = [list(r) for r in identity_matrix(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            q = rng.randint(-2, 2)
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        m[i], m[j] = m[j], m[i]
+    return tuple(tuple(r) for r in m)
 
 
 class TestHermite:
@@ -144,6 +165,23 @@ class TestIndex:
         b = Sublattice.from_rows(2, [(0, 1)])
         with pytest.raises(NotContained):
             lattice_index(b, a)
+
+    def test_matches_oracle_determinant(self):
+        # inner = C @ outer has index |det C| in outer, INFINITE if C is singular
+        rng = random.Random(17)
+        full = 0
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            outer = saturate(Sublattice.from_rows(n, random_matrix(rng, n, n, 3)))
+            c = random_matrix(rng, outer.rank, outer.rank, 3)
+            inner = Sublattice.from_rows(n, mat_mul(c, outer.basis))
+            det = determinant(c)
+            if det == 0:
+                assert lattice_index(inner, outer) is INFINITE
+            else:
+                full += 1
+                assert lattice_index(inner, outer) == abs(det)
+        assert full > 100
 
 
 class TestCompleteToBasis:
@@ -280,6 +318,51 @@ def test_invert_unimodular_roundtrip():
             tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)
         )
         if abs(determinant(m)) != 1:
+            with pytest.raises(NotUnimodular):
+                invert_unimodular(m)
             continue
         inv = invert_unimodular(m)
         assert mat_mul(m, inv) == identity_matrix(n)
+        assert inv == oracle_inverse(m)
+    for _ in range(100):
+        m = random_unimodular(rng, rng.randint(1, 5))
+        assert invert_unimodular(m) == oracle_inverse(m)
+    assert invert_unimodular(()) == ()
+
+
+class TestSympyOracle:
+    """Cross-checks against sympy's exact normal forms, where it is installed."""
+
+    @pytest.fixture
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    def test_elementary_divisors(self, sympy):
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(19)
+        for _ in range(100):
+            m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 6)
+            factors = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+            assert smith_normal_form(m).elementary_divisors == tuple(
+                int(d) for d in factors if d
+            )
+
+    def test_inverse(self, sympy):
+        rng = random.Random(23)
+        for _ in range(100):
+            m = random_unimodular(rng, rng.randint(1, 5))
+            inv = sympy.Matrix(m).inv()
+            assert invert_unimodular(m) == tuple(
+                tuple(int(x) for x in row) for row in inv.tolist()
+            )
+
+    def test_index(self, sympy):
+        rng = random.Random(29)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            c = random_matrix(rng, n, n, 4)
+            det = abs(sympy.Matrix(c).det())
+            inner = Sublattice.from_rows(n, c)
+            want = INFINITE if det == 0 else int(det)
+            assert lattice_index(inner, Sublattice.full(n)) == want
