@@ -29,12 +29,16 @@ from .lattices import (
     Matrix,
     Sublattice,
     Vector,
+    express_in_rows,
     identity_matrix,
+    invert_unimodular,
     is_primitive,
     mod1,
     pairing,
     saturate,
+    smith_normal_form,
     solve_torsion_system,
+    vec_mat,
 )
 
 
@@ -269,27 +273,89 @@ class LayerPoset:
         return layer in self.ids
 
 
-def build_poset(arr: Arrangement) -> LayerPoset:
-    """All layers: the hypersurfaces' components, closed under intersection.
+def _frame(lattice: Sublattice) -> tuple[Matrix, Matrix]:
+    """(K, C) for a saturated `lattice` of rank r in Z^n.
 
-    For each i in A, a component of X_A is a component of C cap H_i, where
-    C is the component of X_{A - i} holding it.  The ambient torus itself
-    is not a layer.
+    The n - r rows of K are a basis of the integer vectors orthogonal to
+    the lattice, so t -> phi + t K, t in (R/Z)^(n-r), parametrizes the
+    layer through any of its points phi.  The rows of C satisfy C K^T = I.
+    One Smith form U B V = D of the basis B gives both: B V is zero past
+    column r, so K is V's columns past r, and C is V^-1's rows past r.
     """
-    found = {l for i in range(len(arr.characters)) for l in layer_components(arr, [i])}
-    work = list(found)
+    if lattice.rank == 0:
+        eye = identity_matrix(lattice.ambient_rank)
+        return eye, eye
+    right = smith_normal_form(lattice.basis).right
+    kernel = tuple(zip(*right))[lattice.rank :]
+    return kernel, invert_unimodular(right)[lattice.rank :]
+
+
+def build_poset(arr: Arrangement) -> LayerPoset:
+    """All layers: the ambient torus closed under intersection with the
+    hypersurfaces.
+
+    For each i in A, a component of X_A is a component of L cap H_i, where
+    L is the component of X_{A - i} holding it.  The walk starts from the
+    ambient torus (lattice 0, frame the identity), which is not a layer,
+    and carries each layer L with one of its points phi.  Each popped L
+    is cut in its own frame (K, C) (`_frame`), one Smith form per layer:
+
+    - On L = phi + t K, the character chi of H_i = {chi = c} takes the
+      value chi(phi) + a t with a = chi K^T an integer vector.  If a = 0,
+      chi is constant on L, and H_i contains L or misses it.
+    - Otherwise let g = +-gcd(a), signed so that the first non-zero entry
+      of the primitive a' = a / g is positive.  L cap H_i is
+      {t : g (a' t) = c - chi(phi) mod 1}: the |g| disjoint translates
+      a' t = (c - chi(phi) + j) / g, j = 0 .. |g| - 1, of the subtorus
+      a' t = 0, which is connected because a' is primitive.  With u an
+      integer vector with a' u = 1, the j-th holds the point
+      phi + ((c - chi(phi) + j) / g) u K.
+    - A character mu is constant on such a translate iff mu K^T lies in
+      Z a' (the integer multiples, as a' is primitive).  Then
+      (mu - k a' C) K^T = 0, so mu - k a' C lies in L's lattice, which is
+      saturated.  So the new lattice, all characters constant on the
+      translate, is L's lattice plus Z a' C, saturated with no further
+      work, and the new values are read off at the translate's point.
+    """
+    n = arr.rank
+    found = set()
+    work = [(Layer(Sublattice.zero(n), ()), (Fraction(0),) * n)]
     while work:
-        layer = work.pop()
+        layer, phi = work.pop()
+        if layer.dim == 0:
+            continue
+        kernel, complement = _frame(layer.lattice)
+        # the characters whose a' agree up to sign cut L along the same
+        # subtori; besides L's support, only they can contain the new layers
+        cuts = {}
         for i, ch in enumerate(arr.characters):
-            # H_i contains the layer, or misses it: the character is constant there
-            if i in layer.support or ch.vector in layer.lattice:
-                continue
-            rows = layer.lattice.basis + (ch.vector,)
-            for lattice, values in _cosets(rows, layer.values + (ch.value,)):
+            a = tuple(sum(x * y for x, y in zip(ch.vector, k)) for k in kernel)
+            if any(a):
+                g = gcd(*a) if next(x for x in a if x) > 0 else -gcd(*a)
+                cuts.setdefault(tuple(x // g for x in a), []).append((ch, g, i))
+        for prim, members in cuts.items():
+            # a translate is one value of a' t mod 1; it lies on the H_i of
+            # the members that reach it
+            translates = {}
+            for ch, g, i in members:
+                base = ch.value - pairing(ch.vector, phi)
+                for j in range(abs(g)):
+                    translates.setdefault(mod1((base + j) / g), []).append(i)
+            lattice = Sublattice.from_rows(
+                n, layer.lattice.basis + (vec_mat(prim, complement),)
+            )
+            u = express_in_rows(tuple((x,) for x in prim), (1,))
+            step = vec_mat(u, kernel)
+            for shift, on in translates.items():
+                point = tuple(
+                    mod1(p + shift * s) if s else p for p, s in zip(phi, step)
+                )
+                values = tuple(pairing(row, point) for row in lattice.basis)
                 if Layer(lattice, values) not in found:
-                    new = Layer(lattice, values, _support(arr, lattice, values))
+                    support = tuple(sorted(layer.support + tuple(on)))
+                    new = Layer(lattice, values, support)
                     found.add(new)
-                    work.append(new)
+                    work.append((new, point))
     return LayerPoset(arr, tuple(sorted(found, key=Layer.key)))
 
 

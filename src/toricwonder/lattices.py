@@ -4,7 +4,9 @@ Hermite and Smith normal forms with transformation matrices, sublattice
 saturation, indices, basis completion, and congruence systems over the
 rational torus.  Every elimination is over arbitrary-precision integers,
 through the Hermite or Smith form; `fractions.Fraction` appears only for
-torus values (`pairing`, `solve_torsion_system`, `rational_coords`).  No
+torus values.  `pairing` sums integer numerators over a common
+denominator, so its result is the one `Fraction` it makes;
+`solve_torsion_system` and `rational_coords` compute in fractions.  No
 floating point.
 
 Conventions: matrices are tuples of row tuples.  The Hermite normal form
@@ -19,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import NotContained, NotSaturated, NotUnimodular, ZeroVector
 
@@ -373,13 +375,26 @@ def express_in_rows(rows: Matrix, target) -> tuple[int, ...] | None:
     return tuple(x)
 
 
-def mod1(q: Fraction) -> Fraction:
-    return Fraction(q) % 1
+def mod1(q) -> Fraction:
+    return (q if isinstance(q, Fraction) else Fraction(q)) % 1
 
 
 def pairing(vector, phi) -> Fraction:
-    """The value mod 1 of the integer character `vector` at the torus point `phi`."""
-    return mod1(sum(x * q for x, q in zip(vector, phi) if x))
+    """The value mod 1 of the integer character `vector` at the torus point `phi`.
+
+    The coordinates of `phi` are fractions or ints; the terms are summed as
+    integer numerators over a common denominator, so the only `Fraction`
+    made is the result.
+    """
+    num, den = 0, 1
+    for x, q in zip(vector, phi):
+        if x:
+            d = q.denominator
+            if den % d:
+                scale = lcm(den, d) // den
+                num, den = num * scale, den * scale
+            num += x * q.numerator * (den // d)
+    return Fraction(num % den, den)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ expansion oracle is the original residual-vector expansion of a character
 in a chart: it finds each member by an exact `Layer.value_of` scan and
 stops where a residual has no component on its largest constant member.
 The inverse and determinant oracles are `Fraction` Gauss-Jordan and Gauss
-eliminations, independent of the library's integer Hermite form.
+eliminations, independent of the library's integer Hermite form.  The
+pairing oracle sums `Fraction` products, independent of the library's
+integer numerators.  The characteristic-polynomial oracle is the subset
+sum over all 2^m character subsets, each solved as one torsion system.
 """
 
 import itertools
@@ -102,6 +105,24 @@ def oracle_determinant(mat) -> Fraction:
                 f = a[r][col] * inv
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
+
+
+def oracle_pairing(vector, phi) -> Fraction:
+    """The value mod 1 of `vector` at `phi`, summed as `Fraction` products."""
+    return Fraction(sum(Fraction(x) * q for x, q in zip(vector, phi) if x)) % 1
+
+
+def oracle_characteristic_polynomial(arr):
+    """Sum over all character subsets S of (-1)^|S| q^dim C over the
+    components C of X_S (X_{} is the torus), as coefficients from q^n down."""
+    coeffs = [0] * (arr.rank + 1)
+    coeffs[0] = 1
+    m = len(arr.characters)
+    for size in range(1, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            for layer in layer_components(arr, subset):
+                coeffs[arr.rank - layer.dim] += (-1) ** size
+    return coeffs
 
 
 def oracle_layers(arr):

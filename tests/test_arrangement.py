@@ -22,10 +22,12 @@ from toricwonder import (
     normalize,
     point_layer,
 )
-from toricwonder import arrangement
+from toricwonder import arrangement, lattices
 from oracles import (
+    ARR_FILES,
     ORACLE_CASES,
     case_arrangement,
+    oracle_characteristic_polynomial,
     oracle_complete_subsets,
     oracle_hasse_edges,
     oracle_layers,
@@ -158,28 +160,73 @@ class TestPosetOracle:
 
 
 class TestPosetScale:
-    def test_closure_solve_count(self, monkeypatch):
-        arr = root_system("C", 3)
+    @pytest.mark.parametrize(
+        "kind, rank, count", [("C", 3, 48), ("B", 4, 160)], ids=["C3", "B4"]
+    )
+    def test_one_smith_form_per_layer(self, monkeypatch, kind, rank, count):
         calls = []
-        solve = arrangement.solve_torsion_system
+        smith = lattices.smith_normal_form
 
-        def counted(*args):
-            calls.append(args)
-            return solve(*args)
+        def counted(mat):
+            calls.append(mat)
+            return smith(mat)
 
-        monkeypatch.setattr(arrangement, "solve_torsion_system", counted)
-        poset = build_poset(arr)
-        m = len(arr.characters)
-        assert m == 12
-        # one solve per hypersurface, then at most one per (layer, character
-        # off the layer); far below the 2^12 - 1 subsets
-        assert len(calls) <= m + sum(m - len(l.support) for l in poset.layers)
+        # `arrangement` holds its own reference to the function
+        monkeypatch.setattr(lattices, "smith_normal_form", counted)
+        monkeypatch.setattr(arrangement, "smith_normal_form", counted)
+        poset = build_poset(root_system(kind, rank))
+        assert len(poset.layers) == count
+        # one frame per layer of positive dimension; a torsion solve per
+        # (layer, character off the layer) would make 354 on C3, 1,788 on B4
+        assert len(calls) <= len(poset.layers)
 
     def test_b4_layer_count(self):
         poset = build_poset(root_system("B", 4))
         assert len(poset.arrangement.characters) == 16
         assert len(poset.layers) == 160
         assert len(poset.points) == 12
+
+
+def characteristic_polynomial(poset):
+    """Sum of mu(T, W) q^dim W over the torus T and the layers W, as
+    coefficients from q^n down, with the Moebius function of the poset."""
+    n = poset.arrangement.rank
+    mu = {}
+    coeffs = [1] + [0] * n
+    # canonical order lists every layer after the layers of lower rank
+    for w in poset.layers:
+        mu[w] = -1 - sum(
+            m for v, m in mu.items() if v.dim > w.dim and v.contains(w)
+        )
+        coeffs[n - w.dim] += mu[w]
+    return coeffs
+
+
+# measured by the subset sum; A3 is (q-1)(q-2)(q-3) and B3 (q-2)(q-3)(q-4)
+CHARACTERISTIC = {
+    "A3": [1, -6, 11, -6],
+    "B3": [1, -9, 26, -24],
+    "C3": [1, -12, 44, -48],
+    "A3_tors": [1, -12, 48, -63],
+    "G2_tors": [1, -12, 57],
+    "B2": [1, -4, 4],
+    "C2": [1, -6, 8],
+    "doubled_square": [1, -6, 8],
+    "two_lines": [1, -2, 2],
+}
+
+
+class TestCharacteristicPolynomial:
+    """The poset's Moebius sum against the subset sum (Ehrenborg, Readdy and
+    Slone, 2009), whose components come from one torsion solve per subset
+    and not from `build_poset`."""
+
+    @pytest.mark.parametrize("path", ARR_FILES, ids=lambda p: p.stem)
+    def test_mobius_sum_is_subset_sum(self, path):
+        poset = build_poset(case_arrangement(path))
+        coeffs = characteristic_polynomial(poset)
+        assert coeffs == oracle_characteristic_polynomial(poset.arrangement)
+        assert coeffs == CHARACTERISTIC[path.stem]
 
 
 class TestLocalized:

@@ -25,9 +25,10 @@ from toricwonder.lattices import (
     invert_unimodular,
     mat_mul,
     mod1,
+    pairing,
     vec_mat,
 )
-from oracles import oracle_determinant as determinant, oracle_inverse
+from oracles import oracle_determinant as determinant, oracle_inverse, oracle_pairing
 
 
 def random_matrix(rng, rows, cols, bound):
@@ -216,6 +217,62 @@ class TestPrimitive:
             is_primitive((0, 0))
 
 
+class TestPairing:
+    """Integer-numerator `pairing` against the `Fraction`-sum oracle."""
+
+    def test_examples(self):
+        F = Fraction
+        assert pairing((1, 1), (F(1, 2), F(1, 3))) == F(5, 6)
+        assert pairing((3, -2), (F(1, 4), F(5, 6))) == F(1, 12)
+        assert pairing((2,), (F(1, 2),)) == 0
+        assert pairing((1, -1), (2, 7)) == 0
+        assert pairing((1, 5), (F(-1, 3), 4)) == F(2, 3)
+        assert pairing((0, 0), (F(1, 3), F(1, 5))) == 0
+        assert pairing((), ()) == 0
+
+    def test_matches_oracle(self):
+        rng = random.Random(17)
+        # coprime, mixed and repeated denominators
+        denominators = (1, 2, 3, 4, 5, 6, 7, 9, 12, 35)
+        for case in range(400):
+            n = rng.randint(0, 5)
+            vector = tuple(rng.randint(-6, 6) for _ in range(n))
+            if case % 10 == 0:
+                vector = (0,) * n
+            phi = []
+            for _ in range(n):
+                if rng.randrange(4) == 0:
+                    phi.append(rng.randint(-3, 3))
+                else:
+                    q = rng.choice(denominators)
+                    phi.append(Fraction(rng.randint(-2 * q, 2 * q), q))
+            got = pairing(vector, phi)
+            assert type(got) is Fraction and 0 <= got < 1
+            assert got == oracle_pairing(vector, phi)
+
+    def test_one_fraction_per_call(self, monkeypatch):
+        made = [0]
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made[0] += 1
+            return new(cls, *args, **kwargs)
+
+        phi = (Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), 4)
+        seven_thirds, third, value = Fraction(7, 3), Fraction(1, 3), Fraction(11, 30)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        assert pairing((1, -2, 3, 5), phi) == value
+        assert made == [1]
+        assert mod1(seven_thirds) == third
+        assert made == [2]
+
+    def test_mod1(self):
+        assert mod1(Fraction(-1, 3)) == Fraction(2, 3)
+        assert mod1(Fraction(2, 5)) == Fraction(2, 5)
+        assert mod1(5) == 0 and type(mod1(5)) is Fraction
+        assert mod1("7/4") == Fraction(3, 4)
+
+
 class TestTorsionSystems:
     def test_two_points(self):
         sol = solve_torsion_system(
@@ -263,7 +320,7 @@ class TestTorsionSystems:
                 continue
             for phi in sol.representatives:
                 for row, r in zip(rows, rhs):
-                    assert mod1(sum(Fraction(x) * p for x, p in zip(row, phi))) == r
+                    assert oracle_pairing(row, phi) == r
 
     def test_saturation_and_kernel_from_smith_form(self):
         rng = random.Random(6)
