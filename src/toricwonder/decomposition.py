@@ -10,10 +10,11 @@ the irreducible pieces underlying the building set of layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import InvalidBuildingSet, InvalidPartition, NotInPoset
 from .arrangement import Layer, LayerPoset, _closure, complete_subsets
-from .lattices import Sublattice, saturate
+from .lattices import Sublattice, saturate, smith_normal_form
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -23,10 +24,16 @@ def _canonical_partition(blocks) -> Partition:
     return tuple(sorted(blocks, key=lambda b: b[0]))
 
 
-def _check_partition(n: int, blocks: Partition):
+def _check_vectors(vectors):
+    if len({len(v) for v in vectors}) > 1:
+        raise InvalidPartition(f"{vectors} mixes vector lengths")
+
+
+def _check_partition(vectors, blocks: Partition):
+    _check_vectors(vectors)
     flat = [i for b in blocks for i in b]
-    if sorted(flat) != list(range(n)) or any(not b for b in blocks):
-        raise InvalidPartition(f"{blocks} is not a partition of 0..{n - 1}")
+    if sorted(flat) != list(range(len(vectors))) or any(not b for b in blocks):
+        raise InvalidPartition(f"{blocks} is not a partition of 0..{len(vectors) - 1}")
 
 
 def _rank(vectors) -> int:
@@ -38,7 +45,7 @@ def _rank(vectors) -> int:
 def is_complex_decomposition(vectors, blocks) -> bool:
     """True iff the block spans are rationally independent."""
     blocks = _canonical_partition(blocks)
-    _check_partition(len(vectors), blocks)
+    _check_partition(vectors, blocks)
     total = sum(_rank([vectors[i] for i in b]) for b in blocks)
     return total == _rank(vectors)
 
@@ -46,35 +53,38 @@ def is_complex_decomposition(vectors, blocks) -> bool:
 def is_integral_decomposition(vectors, blocks) -> bool:
     """True iff the block saturations direct-sum to the saturation of the whole."""
     blocks = _canonical_partition(blocks)
-    _check_partition(len(vectors), blocks)
+    _check_partition(vectors, blocks)
     n = len(vectors[0])
     sats = [saturate(Sublattice.from_rows(n, [vectors[i] for i in b])) for b in blocks]
     if sum(s.rank for s in sats) != _rank(vectors):
         return False
-    joint = Sublattice.from_rows(n, [row for s in sats for row in s.basis])
-    return joint == saturate(Sublattice.from_rows(n, vectors))
+    # independent rows of full rank in the whole's saturation span it iff primitive
+    stacked = tuple(row for s in sats for row in s.basis)
+    return all(d == 1 for d in smith_normal_form(stacked).elementary_divisors)
 
 
 def connected_components(vectors) -> Partition:
     """Components of the linear matroid, the classes its circuits join.
 
-    For a greedy basis B, the fundamental circuit of another vector e is e
-    and each b in B with B - b + e a basis; these circuits join every
-    component (Oxley, Matroid Theory, ch. 4).
+    Each vector, with its unit row appended, is reduced fraction-free against
+    the rows kept so far, a greedy basis B; one that reduces to zero has its
+    relation to B in the tail, whose support is its fundamental circuit.
+    These circuits join every component (Oxley, Matroid Theory, ch. 4).
     """
-    basis: list[int] = []
-    for i, v in enumerate(vectors):
-        if _rank([vectors[b] for b in basis] + [v]) > len(basis):
-            basis.append(i)
+    _check_vectors(vectors)
+    rows: list[tuple[int, list[int]]] = []  # (pivot, vector part + combination)
     blocks = [{i} for i in range(len(vectors))]
     for e, v in enumerate(vectors):
-        if e in basis:
+        w = list(v) + [int(i == e) for i in range(len(vectors))]
+        for p, row in rows:
+            if w[p]:
+                a, b = row[p], w[p]
+                w = [a * x - b * y for x, y in zip(w, row)]
+        if any(w[: len(v)]):
+            g = gcd(*w)
+            rows.append((next(j for j, x in enumerate(w) if x), [x // g for x in w]))
             continue
-        circuit = {e}.union(
-            b
-            for b in basis
-            if _rank([vectors[c] for c in basis if c != b] + [v]) == len(basis)
-        )
+        circuit = {i for i, x in enumerate(w[len(v) :]) if x}
         joined = set().union(*(s for s in blocks if s & circuit))
         blocks = [s for s in blocks if not s & circuit] + [joined]
     return _canonical_partition(blocks)
@@ -95,23 +105,23 @@ def finest_integral_decomposition(vectors) -> Partition:
     """The unique finest partition into irreducible blocks.
 
     Blocks of any integral decomposition are unions of matroid components,
-    so the search runs over coarsenings of the component partition.
+    so the search runs over coarsenings of the component partition; the
+    trivial one always qualifies, so only those into 2 or more blocks are tested.
     """
     if not vectors:
         raise InvalidPartition("cannot decompose an empty set")
     comps = connected_components(vectors)
-    best: Partition | None = None
+    best: Partition = (tuple(range(len(vectors))),)
+    if len(comps) == 1:
+        return best
     for grouping in _set_partitions(list(range(len(comps)))):
+        if len(grouping) <= len(best):
+            continue
         blocks = _canonical_partition(
             tuple(i for c in group for i in comps[c]) for group in grouping
         )
-        if best is not None and len(blocks) <= len(best):
-            continue
         if is_integral_decomposition(vectors, blocks):
             best = blocks
-    if best is None:
-        # the trivial partition always qualifies, for vectors of one length
-        raise InvalidPartition(f"{vectors} has no integral decomposition")
     return best
 
 

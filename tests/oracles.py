@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's own search strategies: the layer
 oracle solves the torsion system of every character subset, the Hasse
-oracle tests every triple of layers, the matroid-component oracle tests
-every vector subset for a circuit, the flat oracle closes every subset
-of the localized characters, the decomposition oracle scans every set
-partition, and the nestedness oracle enumerates every flag of layers
+oracle tests every triple of layers, the matroid-component oracles test
+every vector subset for a circuit or rank-test each fundamental circuit
+of a greedy basis, the integrality oracle compares the Hermite basis of
+the block saturations with the saturation of the whole, the flat oracle
+closes every subset of the localized characters, the decomposition
+oracles scan every set partition, or every coarsening of the circuit
+components, and the nestedness oracle enumerates every flag of layers
 and collects the factor sets.  The nested-set scans decide every subset
 of building-set members on its own, with `Layer.contains` and
 `is_complete` at each common point, and keep the ones that pass.  The
@@ -39,10 +42,10 @@ from toricwonder import (
     factors,
     intersection_components,
     is_complete,
-    is_integral_decomposition,
     layer_components,
     localized,
     normalize,
+    saturate,
 )
 from toricwonder.arrangement import _closure
 from toricwonder.charts import BetaTerm, ChartFunction, maximal_constant_member
@@ -162,13 +165,25 @@ def set_partitions(items):
         yield [[head]] + part
 
 
+def oracle_is_integral_decomposition(vectors, blocks):
+    """Integrality by definition: the Hermite basis of the stacked block
+    saturations is the saturation of the whole (`blocks` is a partition)."""
+    n = len(vectors[0])
+    sats = [saturate(Sublattice.from_rows(n, [vectors[i] for i in b])) for b in blocks]
+    whole = Sublattice.from_rows(n, vectors)
+    if sum(s.rank for s in sats) != whole.rank:
+        return False
+    joint = Sublattice.from_rows(n, [row for s in sats for row in s.basis])
+    return joint == saturate(whole)
+
+
 def oracle_finest(vectors):
     """(finest integral partition, uniqueness flag) by exhaustive scan."""
     best = []
     best_count = 0
     for part in set_partitions(range(len(vectors))):
         blocks = tuple(sorted(tuple(sorted(b)) for b in part))
-        if not is_integral_decomposition(vectors, blocks):
+        if not oracle_is_integral_decomposition(vectors, blocks):
             continue
         if len(blocks) > best_count:
             best_count = len(blocks)
@@ -207,6 +222,53 @@ def oracle_connected_components(vectors):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def oracle_circuit_components(vectors):
+    """Matroid components from the fundamental circuits of a greedy basis B:
+    the circuit of another vector e is e and each b in B with B - b + e a
+    basis, found by one Hermite-form rank test per pair."""
+
+    def rank(rows):
+        return Sublattice.from_rows(len(rows[0]), rows).rank if rows else 0
+
+    basis = []
+    for i, v in enumerate(vectors):
+        if rank([vectors[b] for b in basis] + [v]) > len(basis):
+            basis.append(i)
+    blocks = [{i} for i in range(len(vectors))]
+    for e, v in enumerate(vectors):
+        if e in basis:
+            continue
+        circuit = {e}.union(
+            b
+            for b in basis
+            if rank([vectors[c] for c in basis if c != b] + [v]) == len(basis)
+        )
+        joined = set().union(*(s for s in blocks if s & circuit))
+        blocks = [s for s in blocks if not s & circuit] + [joined]
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def oracle_irreducible_layers(poset):
+    """The layers whose support has a one-block finest integral partition,
+    searched over every coarsening of the circuit components (the trivial
+    one included) with `oracle_is_integral_decomposition`."""
+    chars = poset.arrangement.characters
+    members = []
+    for layer in poset.layers:
+        vectors = [chars[i].vector for i in layer.support]
+        comps = oracle_circuit_components(vectors)
+        finest = []
+        for grouping in set_partitions(range(len(comps))):
+            blocks = [[i for c in g for i in comps[c]] for g in grouping]
+            if len(blocks) > len(finest) and oracle_is_integral_decomposition(
+                vectors, blocks
+            ):
+                finest = blocks
+        if len(finest) == 1:
+            members.append(layer)
+    return members
 
 
 def oracle_complete_subsets(arr, p):

@@ -229,6 +229,45 @@ class TestCharacteristicPolynomial:
         assert coeffs == CHARACTERISTIC[path.stem]
 
 
+class TestComponentCounts:
+    """For a centred arrangement, the characters S cut out as many components
+    as the index of the lattice they span in its saturation (Moci, "A Tutte
+    polynomial for toric arrangements", 2012); the index makes no torsion
+    solve."""
+
+    @staticmethod
+    def check(arr, subsets):
+        """The number of subsets that cut out more than one component."""
+        assert all(ch.value == 0 for ch in arr.characters)
+        split = 0
+        for subset in subsets:
+            span = Sublattice.from_rows(
+                arr.rank, [arr.characters[i].vector for i in subset]
+            )
+            count = len(layer_components(arr, subset))
+            assert count == lattices.lattice_index(span, lattices.saturate(span))
+            split += count > 1
+        return split
+
+    # C3 is left out: its non-primitive characters split into translates.
+    # Type A is unimodular, so every A3 subset cuts out one component.
+    @pytest.mark.parametrize("name, split", [("A3", 0), ("B3", 44), ("two_lines", 1)])
+    def test_every_subset(self, name, split):
+        arr = case_arrangement(next(p for p in ARR_FILES if p.stem == name))
+        m = len(arr.characters)
+        subsets = [
+            [i for i in range(m) if mask >> i & 1] for mask in range(1, 1 << m)
+        ]
+        assert self.check(arr, subsets) == split
+
+    def test_a4_sampled_subsets(self):
+        arr = root_system("A", 4)
+        rng = random.Random(47)
+        m = len(arr.characters)
+        subsets = [rng.sample(range(m), rng.randint(1, m)) for _ in range(200)]
+        self.check(arr, subsets)
+
+
 class TestLocalized:
     def test_p1_doubled_square(self, doubled_square):
         arr, _, _ = doubled_square

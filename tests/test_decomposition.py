@@ -19,12 +19,14 @@ from toricwonder import (
     is_z_irreducible,
     point_layer,
 )
-from toricwonder import decomposition
+from toricwonder import decomposition, lattices
 from oracles import (
     ORACLE_CASES,
     case_arrangement,
     oracle_connected_components,
     oracle_finest,
+    oracle_irreducible_layers,
+    oracle_is_integral_decomposition,
     random_vectors,
     root_system,
 )
@@ -56,6 +58,57 @@ class TestPredicates:
     def test_bad_partition(self):
         with pytest.raises(InvalidPartition):
             is_integral_decomposition([(1, 0), (0, 1)], ((0,),))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            connected_components,
+            finest_integral_decomposition,
+            is_z_irreducible,
+            is_c_irreducible,
+            lambda v: is_integral_decomposition(v, ((0,), (1,))),
+            lambda v: is_complex_decomposition(v, ((0, 1),)),
+        ],
+        ids=["components", "finest", "z", "c", "integral", "complex"],
+    )
+    @pytest.mark.parametrize(
+        "vectors", [[(1, 0), (1,)], [(1,), (1, 0)]], ids=["long-short", "short-long"]
+    )
+    def test_ragged_vectors_rejected(self, call, vectors):
+        with pytest.raises(InvalidPartition):
+            call(vectors)
+
+
+class TestIntegralOracle:
+    """Primitive stacked saturations against the comparison with the
+    saturation of the whole that they replaced."""
+
+    def test_random_partitions(self):
+        rng = random.Random(707)
+        cases = [
+            ([(1, 1), (1, -1)], ((0,), (1,))),
+            ([(1, 1, 0), (1, -1, 0), (0, 0, 1)], ((0,), (1,), (2,))),
+            ([(1, 1, 0), (1, -1, 0), (0, 0, 1)], ((0, 1), (2,))),
+            ([(2, 1), (0, 1)], ((0,), (1,))),
+            ([(0, 0), (1, 0)], ((0,), (1,))),
+        ]
+        for _ in range(600):
+            vectors = random_vectors(rng)
+            if rng.random() < 0.2:
+                vectors.insert(rng.randint(0, len(vectors)), (0,) * len(vectors[0]))
+            labels = [rng.randrange(len(vectors)) for _ in vectors]
+            blocks = [[i for i, x in enumerate(labels) if x == k] for k in set(labels)]
+            cases.append((vectors, blocks))
+        outcomes = {True: 0, False: 0}
+        index_above_one = 0
+        for vectors, blocks in cases:
+            got = is_integral_decomposition(vectors, blocks)
+            assert got == oracle_is_integral_decomposition(vectors, blocks)
+            outcomes[got] += 1
+            index_above_one += not got and is_complex_decomposition(vectors, blocks)
+        assert min(outcomes.values()) > 100
+        # ranks add up, yet the block saturations miss part of the whole's
+        assert index_above_one > 20
 
 
 class TestConnectedComponents:
@@ -106,35 +159,65 @@ class TestComponentsOracle:
 
 
 class TestBuildingSetScale:
-    def test_b4_members_and_rank_calls(self, monkeypatch):
+    def test_b4_members_and_elimination_cost(self, monkeypatch):
         poset = build_poset(root_system("B", 4))
-        rank, components = decomposition._rank, decomposition.connected_components
-        calls, counts = [], []
+        hermite = lattices.hermite_normal_form
+        components = decomposition.connected_components
+        integral = decomposition.is_integral_decomposition
+        hermite_calls, component_counts, integral_calls = [], [], []
 
-        def counted_rank(vectors):
-            calls.append(len(vectors))
-            return rank(vectors)
+        def counted_hermite(mat):
+            hermite_calls.append(len(mat))
+            return hermite(mat)
 
         def counted_components(vectors):
-            before = len(calls)
+            before = len(hermite_calls)
             out = components(vectors)
-            counts.append((len(vectors), rank(vectors), len(calls) - before))
+            # one fraction-free elimination, no Hermite form or Sublattice
+            assert len(hermite_calls) == before
+            component_counts.append(len(out))
             return out
 
-        monkeypatch.setattr(decomposition, "_rank", counted_rank)
+        def counted_integral(vectors, blocks):
+            integral_calls.append(component_counts[-1])
+            return integral(vectors, blocks)
+
+        monkeypatch.setattr(lattices, "hermite_normal_form", counted_hermite)
         monkeypatch.setattr(decomposition, "connected_components", counted_components)
+        monkeypatch.setattr(decomposition, "is_integral_decomposition", counted_integral)
         building = irreducible_layers(poset)
         assert len(building.members) == 62
-        assert len(counts) == len(poset.layers) == 160
-        # k tests find the greedy basis, r more each fundamental circuit;
-        # with the 2^k subset scan, irreducible_layers made 74,740 here
-        for k, r, n in counts:
-            assert n <= k + r * (k - r)
+        assert len(component_counts) == len(poset.layers) == 160
+        # one component is irreducible untested; with more, only
+        # coarsenings into 2 or more blocks are tested
+        assert sum(c >= 2 for c in component_counts) == 104
+        assert len(integral_calls) == 140
+        assert all(c >= 2 for c in integral_calls)
 
     def test_c4_members(self):
         poset = build_poset(root_system("C", 4))
         assert len(poset.arrangement.characters) == 20
         assert len(irreducible_layers(poset).members) == 66
+
+    @pytest.mark.parametrize("kind, members", [("B", 173), ("C", 178)])
+    def test_rank_five_members(self, kind, members):
+        poset = build_poset(root_system(kind, 5))
+        assert len(irreducible_layers(poset).members) == members
+
+
+class TestIrreducibleOracle:
+    """The building set against the circuit-rank-test components and the
+    integrality comparison that the integer elimination replaced."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ORACLE_CASES + [pytest.param((k, 4), id=f"{k}4") for k in "ABC"],
+    )
+    def test_same_members(self, case):
+        arr = root_system(*case) if isinstance(case, tuple) else case_arrangement(case)
+        poset = build_poset(arr)
+        members = oracle_irreducible_layers(poset)
+        assert irreducible_layers(poset).members == tuple(members)
 
 
 class TestFinest:

@@ -405,6 +405,30 @@ class TestSympyOracle:
                 int(d) for d in factors if d
             )
 
+    def test_hermite_row_lattice(self, sympy):
+        from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+        rng = random.Random(31)
+        dropped = 0
+        for _ in range(100):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            m = random_matrix(rng, rows, cols, 6)
+            # sympy's form is column-style: its columns span those of m^T
+            theirs = [
+                tuple(int(x) for x in row)
+                for row in sympy_hnf(sympy.Matrix(m).T).T.tolist()
+            ]
+            ours = Sublattice.from_rows(cols, m)
+            dropped += ours.rank < rows
+            assert ours.rank == len(theirs)
+            assert all(row in ours for row in theirs)
+            for row in ours.basis:
+                x, params = sympy.Matrix(theirs).T.gauss_jordan_solve(
+                    sympy.Matrix(row)
+                )
+                assert not params and all(c.is_integer for c in x)
+        assert dropped > 20
+
     def test_inverse(self, sympy):
         rng = random.Random(23)
         for _ in range(100):

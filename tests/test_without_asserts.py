@@ -27,12 +27,6 @@ elsewhere = point_layer(arr, (Fraction(1, 2), Fraction(1, 2)))
 lines = tuple(l for l in poset.layers if l.dim == 1)
 
 
-def no_decomposition():
-    # the trivial partition always qualifies; pretend it does not
-    decomposition.is_integral_decomposition = lambda vectors, blocks: False
-    decomposition.finest_integral_decomposition([(1, 0)])
-
-
 for case in (
     lambda: build_chart(poset, s, basis_rows=[(1, 0), (0, 1)]),
     lambda: core(s, elsewhere),
@@ -41,7 +35,8 @@ for case in (
     lambda: Flag((lines[0], point_layer(arr, (0, 0)))),
     # the two lines meet in two points, so they have no center
     lambda: center(lines, BuildingSet(lines, "custom"), poset),
-    no_decomposition,
+    # vectors of different lengths
+    lambda: decomposition.finest_integral_decomposition([(1, 0), (1,)]),
 ):
     try:
         case()
