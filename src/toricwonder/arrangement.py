@@ -20,6 +20,7 @@ from .errors import (
     InfiniteIndex,
     NotAPoint,
     NotComplete,
+    NotContained,
     NotNested,
     NotPrimitive,
     ParseError,
@@ -163,6 +164,10 @@ class Layer:
                 return False
         return True
 
+    def passes_through(self, p: "Layer") -> bool:
+        """True iff `p` lies on this layer, whose support then lies in p's."""
+        return not self.mask & ~p.mask and self.contains(p)
+
     @property
     def coordinates(self) -> tuple[Fraction, ...]:
         """Torsion coordinates of a 0-dimensional layer."""
@@ -237,13 +242,39 @@ class LayerPoset:
     arrangement: Arrangement
     layers: tuple[Layer, ...]
     ids: dict = field(init=False, repr=False, compare=False)
+    _flats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _closures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ids", {l: i for i, l in enumerate(self.layers)})
 
-    def leq(self, a: Layer, b: Layer) -> bool:
-        """a <= b iff a is contained in b."""
-        return b.contains(a)
+    def flats_at(self, p: Layer) -> dict[int, Layer]:
+        """The layers through `p` by support mask, in `Layer.key` order: the
+        masks are the flats of the characters through p (`_Local`), and the
+        empty flat maps to the ambient torus, which is not a layer."""
+        try:
+            return self._flats[p]
+        except KeyError:
+            table = {0: self.torus}
+            for l in self.layers:
+                if l.passes_through(p):
+                    table[l.mask] = l
+            return self._flats.setdefault(p, table)
+
+    def closure(self, p: Layer, mask: int) -> int:
+        """The smallest flat at `p` holding `mask`: flats are closed under
+        intersection, so it is the first in rank order to hold `mask`."""
+        if (p, mask) not in self._closures:
+            flat = next((f for f in self.flats_at(p) if not mask & ~f), None)
+            if flat is None:
+                raise NotContained(f"no layer through {p} has support {mask:#b}")
+            self._closures[p, mask] = flat
+        return self._closures[p, mask]
+
+    @cached_property
+    def torus(self) -> Layer:
+        """The ambient torus: the empty intersection, not itself a layer."""
+        return Layer(Sublattice.zero(self.arrangement.rank), ())
 
     @cached_property
     def points(self) -> tuple[Layer, ...]:

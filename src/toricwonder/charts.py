@@ -29,7 +29,7 @@ from .errors import (
     OnDivisor,
     OutsideDomain,
 )
-from .arrangement import Layer, LayerPoset, layer_from_complete_set, top_member
+from .arrangement import Layer, LayerPoset, top_member
 from .decomposition import BuildingSet, factors
 from .lattices import (
     Sublattice,
@@ -44,12 +44,7 @@ from .lattices import (
     smith_normal_form,
     vec_mat,
 )
-from .nested import (
-    NestedSet,
-    enumerate_all_maximal,
-    intersection_components,
-    is_nested,
-)
+from .nested import NestedSet, enumerate_all_maximal, is_nested
 
 DEFAULT_TOL = 1e-9
 
@@ -210,9 +205,10 @@ class Chart:
         phi = self.point_coordinates
         self.constants = tuple(pairing(row, phi) for row in self.basis)
         self._roots = tuple(unit_root(a) for a in self.constants)
-        members = self.members
+        # all members pass through the center, where c contains d iff supp c <= supp d
+        masks = [m.mask for m in self.members]
         self.below = tuple(
-            tuple(j for j, d in enumerate(members) if c.contains(d)) for c in members
+            tuple(j for j, d in enumerate(masks) if not c & ~d) for c in masks
         )
         self._above = tuple(
             tuple(j for j, inside in enumerate(self.below) if i in inside)
@@ -456,6 +452,10 @@ def build_chart(
     members = nested_set.members
     if nested_set.center.dim != 0:
         raise NotAPoint("charts exist only for maximal nested sets")
+    through = poset.flats_at(nested_set.center)
+    for m in members:
+        if through.get(m.mask) != m:
+            raise NotNested(f"{m} misses the center {nested_set.center}")
     if basis_rows is None:
         basis_rows = adapted_basis_rows(members)
     phi = nested_set.center.coordinates
@@ -637,10 +637,11 @@ def chart_for_curve(
     # flag of completions by vanishing order, factored into the building set
     collected: list[Layer] = []
     for h in range(1, max(orders.values()) + 1):
-        level = tuple(sorted(i for i in support if orders[i] >= h))
+        # the characters vanishing to order >= h along the germ form a flat
+        level = sum(1 << i for i in support if orders[i] >= h)
         if not level:
             break
-        layer = layer_from_complete_set(arr, p, level)
+        layer = poset.flats_at(p)[level]
         for f in factors(poset, layer, building):
             if f not in collected:
                 collected.append(f)
@@ -651,11 +652,9 @@ def chart_for_curve(
             break
         if cand in collected:
             continue
-        ok, _ = is_nested(collected + [cand], building, poset)
-        if ok:
-            comps = intersection_components(arr, collected + [cand])
-            if any(c.contains(p) for c in comps):
-                collected.append(cand)
+        # every member collected or offered passes through p
+        if is_nested(collected + [cand], building, poset)[0]:
+            collected.append(cand)
     if len(collected) != n:
         raise InvalidGerm("the germ's flag does not complete to a maximal nested set")
     nested_set = NestedSet(tuple(collected), p)

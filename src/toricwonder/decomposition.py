@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InvalidBuildingSet, InvalidPartition, NotInPoset
-from .arrangement import Layer, LayerPoset, _closure, complete_subsets
+from .arrangement import Layer, LayerPoset
 from .lattices import Sublattice, saturate, smith_normal_form
 
 Partition = tuple[tuple[int, ...], ...]
@@ -142,24 +142,21 @@ class _Local:
     a layer through p is the component through p of the intersection of
     its support's hypersurfaces, and those components are disjoint.  So
     the members through p are told apart, and compared, by their support
-    bitmasks alone, and every such support lies inside p's support.
+    bitmasks alone, and every such support lies inside p's support.  The
+    same masks key the poset's table of all layers through p
+    (`LayerPoset.flats_at`), which is where flatness is looked up.
     """
 
     def __init__(self, members, p: Layer):
-        self.ground = p.support
-        # a member through p has its support inside p's; only then test it
-        self.members = [m for m in members if not m.mask & ~p.mask and m.contains(p)]
+        self.point = p
+        self.members = [m for m in members if m.passes_through(p)]
         self.masks = [m.mask for m in self.members]
         self.index = {m: k for k, m in enumerate(self.members)}
-        self._flats: dict[int, bool] = {}
         self._parts: dict[int, frozenset[int]] = {}
 
-    def is_flat(self, arr, mask: int) -> bool:
+    def is_flat(self, poset: LayerPoset, mask: int) -> bool:
         """Whether the characters in `mask` are closed under rational span at p."""
-        if mask not in self._flats:
-            subset = tuple(i for i in self.ground if mask >> i & 1)
-            self._flats[mask] = _closure(arr, self.ground, subset) == subset
-        return self._flats[mask]
+        return mask in poset.flats_at(self.point)
 
     def decomposition(self, flat: int) -> frozenset[int]:
         """Masks of the maximal members whose support lies in the flat."""
@@ -220,7 +217,8 @@ def custom_building_set(poset: LayerPoset, members) -> BuildingSet:
             raise NotInPoset(f"{m} is not a layer of the arrangement")
     bs = BuildingSet(members, "custom")
     for p in poset.points:
-        for flat in complete_subsets(arr, p):
+        for layer in poset.flats_at(p).values():
+            flat = layer.support
             if not flat:
                 continue
             blocks = bs.decomposition_of(p, flat)

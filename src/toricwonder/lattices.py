@@ -6,8 +6,7 @@ rational torus.  Every elimination is over arbitrary-precision integers,
 through the Hermite or Smith form; `fractions.Fraction` appears only for
 torus values.  `pairing` sums integer numerators over a common
 denominator, so its result is the one `Fraction` it makes;
-`solve_torsion_system` and `rational_coords` compute in fractions.  No
-floating point.
+`solve_torsion_system` computes in fractions.  No floating point.
 
 Conventions: matrices are tuples of row tuples.  The Hermite normal form
 is row-style with positive pivots and entries above each pivot reduced
@@ -277,23 +276,8 @@ class Sublattice:
         out, rest = self.reduce(vector)
         return None if any(rest) else out
 
-    def rational_coords(self, vector) -> tuple[Fraction, ...] | None:
-        """Coordinates of `vector` in the rational span, or None."""
-        v = [Fraction(x) for x in vector]
-        out = []
-        for row, p in zip(self.basis, self._pivots()):
-            q = v[p] / row[p]
-            v = [x - q * y for x, y in zip(v, row)]
-            out.append(q)
-        if any(v):
-            return None
-        return tuple(out)
-
     def __contains__(self, vector) -> bool:
         return self.coords(vector) is not None
-
-    def spans_rationally(self, vector) -> bool:
-        return self.rational_coords(vector) is not None
 
 
 def saturate(lattice: Sublattice) -> Sublattice:

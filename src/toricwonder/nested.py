@@ -4,7 +4,8 @@ Nestedness is decided by the incomparable-union criterion localized at a
 common point: every antichain of members must have a complete union of
 localized supports whose building-set decomposition is exactly the
 antichain.  A witnessing flag is reconstructed afterwards by peeling
-minimal members off and intersecting what remains.
+minimal members off; each intersection of what remains is read, through
+the common point, from the poset's table of the layers through it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from .errors import IsMinimal, NotAPoint, NotContained, NotInBuildingSet, NotNested
 from .arrangement import Arrangement, Layer, LayerPoset, components, top_member
 from .decomposition import BuildingSet
+from .lattices import hermite_basis
 
 
 @dataclass(frozen=True)
@@ -71,18 +73,18 @@ def is_nested(members, building: BuildingSet, poset: LayerPoset):
             raise NotInBuildingSet(f"{m} is not in the building set")
     if len(members) <= 1:
         return True, Flag(members)
-    arr = poset.arrangement
     for p in poset.points:
         local = building._at(p)
         chosen = [local.index.get(m) for m in members]
         if None not in chosen and all(
-            _extends(local, arr, chosen[:k], chosen[k]) for k in range(1, len(chosen))
+            _extends(local, poset, chosen[:k], chosen[k])
+            for k in range(1, len(chosen))
         ):
-            return True, _witness_flag(members, arr, p)
+            return True, _witness_flag(members, poset, p)
     return False, None
 
 
-def _extends(local, arr, chosen, x) -> bool:
+def _extends(local, poset, chosen, x) -> bool:
     """Whether the members `chosen` at a point stay nested there with `x` added.
 
     A set is nested at p iff every antichain of two or more members has a
@@ -98,12 +100,12 @@ def _extends(local, arr, chosen, x) -> bool:
             if all(a & ~b and b & ~a for a, b in itertools.combinations(combo, 2)):
                 union = functools.reduce(operator.or_, combo, mx)
                 parts = {mx, *combo}
-                if not local.is_flat(arr, union) or local.decomposition(union) != parts:
+                if not local.is_flat(poset, union) or local.decomposition(union) != parts:
                     return False
     return True
 
 
-def _nested_sets(local, arr, candidates, size=None):
+def _nested_sets(local, poset, candidates, size=None):
     """The nested sets at a point among `candidates` (indices into its
     members), in lexicographic order, none larger than `size`.
 
@@ -115,7 +117,7 @@ def _nested_sets(local, arr, candidates, size=None):
         if len(chosen) == size:
             return
         for k in range(start, len(candidates)):
-            if _extends(local, arr, chosen, candidates[k]):
+            if _extends(local, poset, chosen, candidates[k]):
                 yield from grow(chosen + (candidates[k],), k + 1)
 
     return grow((), 0)
@@ -136,19 +138,26 @@ def _all_nested(
     for p in poset.points:
         local = building._at(p)
         candidates = [k for k, m in enumerate(local.members) if m in position]
-        for chosen in _nested_sets(local, poset.arrangement, candidates):
+        for chosen in _nested_sets(local, poset, candidates):
             found.add(tuple(local.members[k] for k in chosen))
     found.discard(())
     return sorted(found, key=lambda s: (len(s), [position[m] for m in s]))
 
 
-def _witness_flag(members, arr, p) -> Flag:
+def _connected(members, component: Layer) -> bool:
+    """Whether the intersection of members is its `component`: it has one
+    component per coset of their lattices' sum in its saturation."""
+    rows = [r for m in members for r in m.lattice.basis]
+    return hermite_basis(rows) == component.lattice.basis
+
+
+def _witness_flag(members, poset: LayerPoset, p: Layer) -> Flag:
     remaining = list(members)
     chain = []
     while remaining:
-        comps = intersection_components(arr, remaining)
-        # the intersection may be disconnected; keep the component through p
-        layer = next(c for c in comps if c.contains(p))
+        # the component through p of the intersection, maybe one of several
+        union = functools.reduce(operator.or_, (m.mask for m in remaining))
+        layer = poset.flats_at(p)[poset.closure(p, union)]
         if not chain or chain[-1] != layer:
             chain.append(layer)
         # keep the members holding another: through p, o lies in m iff supp m <= supp o
@@ -162,13 +171,14 @@ def _witness_flag(members, arr, p) -> Flag:
 
 def center(members, building: BuildingSet, poset: LayerPoset) -> Layer:
     """The intersection of a nested set, guaranteed connected."""
-    ok, _ = is_nested(members, building, poset)
+    ok, witness = is_nested(members, building, poset)
     if not ok:
         raise NotNested(f"{members} is not nested")
-    comps = intersection_components(poset.arrangement, members)
-    if len(comps) != 1:
+    # the witness starts at the component through a common point; [] gives the torus
+    bottom = witness.chain[0] if witness.chain else poset.torus
+    if not _connected(members, bottom):
         raise NotNested(f"the intersection of {members} is not connected")
-    return comps[0]
+    return bottom
 
 
 def enumerate_maximal(
@@ -177,19 +187,19 @@ def enumerate_maximal(
     """All maximal nested sets with center `p`; each has n members."""
     if p.dim != 0:
         raise NotAPoint("maximal nested sets are enumerated per point")
-    arr = poset.arrangement
-    n = arr.rank
+    n = poset.arrangement.rank
     local = building._at(p)
     out = []
-    for chosen in _nested_sets(local, arr, range(len(local.members)), n):
+    for chosen in _nested_sets(local, poset, range(len(local.members)), n):
         if len(chosen) < n:
             continue
+        # the center is p iff the supports close to p's and it is connected
+        union = functools.reduce(operator.or_, (local.masks[k] for k in chosen))
         combo = [local.members[k] for k in chosen]
-        comps = intersection_components(arr, combo)
-        if len(comps) != 1 or comps[0] != p:
+        if poset.closure(p, union) != p.mask or not _connected(combo, p):
             continue
         members = tuple(sorted(combo, key=Layer.key))
-        out.append(NestedSet(members, comps[0], _witness_flag(members, arr, p)))
+        out.append(NestedSet(members, p, _witness_flag(members, poset, p)))
     return sorted(out, key=NestedSet.key)
 
 

@@ -12,6 +12,9 @@ components, and the nestedness oracle enumerates every flag of layers
 and collects the factor sets.  The nested-set scans decide every subset
 of building-set members on its own, with `Layer.contains` and
 `is_complete` at each common point, and keep the ones that pass.  The
+intersection-path oracles keep the library's backtracking search but
+take each center and witness flag from the components of an
+intersection, each solved as one torsion system.  The
 expansion oracle is the original residual-vector expansion of a character
 in a chart: it finds each member by an exact `Layer.value_of` scan and
 stops where a residual has no component on its largest constant member.
@@ -48,6 +51,7 @@ from toricwonder import (
     saturate,
 )
 from toricwonder.arrangement import _closure
+from toricwonder.nested import _nested_sets
 from toricwonder.charts import BetaTerm, ChartFunction, maximal_constant_member
 from toricwonder.cli import parse_file
 from toricwonder.lattices import mod1, vec_mat
@@ -60,11 +64,15 @@ ARR_FILES = sorted((ROOT / "perfbench" / "families").glob("*.arr")) + sorted(
 ORACLE_CASES = [pytest.param(p, id=p.stem) for p in ARR_FILES] + [
     pytest.param(seed, id=f"random-{seed}") for seed in range(30)
 ]
+# the rank-4 root systems, as (kind, rank) for `root_system`
+RANK_FOUR_CASES = [pytest.param((kind, 4), id=f"{kind}4") for kind in "ABC"]
 
 
 def case_arrangement(case):
     if isinstance(case, int):
         return random_arrangement(random.Random(case))
+    if isinstance(case, tuple):
+        return root_system(*case)
     return parse_file(str(case))[0]
 
 
@@ -431,6 +439,38 @@ def oracle_maximal_nested(poset, p, building):
         if len(comps) == 1 and comps[0] == p:
             out.append(NestedSet(combo, comps[0], witness))
     return sorted(out, key=NestedSet.key)
+
+
+def oracle_center_check(arr, members, p):
+    """Whether the members' intersection is the point `p` alone, from the
+    components of the intersection, each solved as one torsion system."""
+    comps = intersection_components(arr, members)
+    return len(comps) == 1 and comps[0] == p
+
+
+def oracle_enumerate_maximal(poset, p, building):
+    """Maximal nested sets centred at `p` from the library's backtracking
+    search, with the center check and the witness flag taken from the
+    components of each intersection instead of the poset's flat table."""
+    memo = _Memo(poset.arrangement)
+    local = building._at(p)
+    n = poset.arrangement.rank
+    out = []
+    for chosen in _nested_sets(local, poset, range(len(local.members)), n):
+        combo = [local.members[k] for k in chosen]
+        if len(chosen) == n and oracle_center_check(memo.arr, combo, p):
+            members = tuple(sorted(combo, key=Layer.key))
+            out.append(NestedSet(members, p, _witness_flag(members, memo, p)))
+    return sorted(out, key=NestedSet.key)
+
+
+def oracle_center(members, building, poset):
+    """The intersection of a nested family, by its components: (center,
+    None), or (None, reason) where the library raises NotNested."""
+    if not oracle_is_nested(members, building, poset)[0]:
+        return None, "not nested"
+    comps = intersection_components(poset.arrangement, members)
+    return (comps[0], None) if len(comps) == 1 else (None, "not connected")
 
 
 def oracle_all_nested(poset, building, within):

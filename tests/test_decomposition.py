@@ -22,6 +22,7 @@ from toricwonder import (
 from toricwonder import decomposition, lattices
 from oracles import (
     ORACLE_CASES,
+    RANK_FOUR_CASES,
     case_arrangement,
     oracle_connected_components,
     oracle_finest,
@@ -209,13 +210,9 @@ class TestIrreducibleOracle:
     """The building set against the circuit-rank-test components and the
     integrality comparison that the integer elimination replaced."""
 
-    @pytest.mark.parametrize(
-        "case",
-        ORACLE_CASES + [pytest.param((k, 4), id=f"{k}4") for k in "ABC"],
-    )
+    @pytest.mark.parametrize("case", ORACLE_CASES + RANK_FOUR_CASES)
     def test_same_members(self, case):
-        arr = root_system(*case) if isinstance(case, tuple) else case_arrangement(case)
-        poset = build_poset(arr)
+        poset = build_poset(case_arrangement(case))
         members = oracle_irreducible_layers(poset)
         assert irreducible_layers(poset).members == tuple(members)
 

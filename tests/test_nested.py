@@ -15,20 +15,26 @@ from toricwonder import (
     build_poset,
     center,
     core,
+    custom_building_set,
     enumerate_all_maximal,
     enumerate_maximal,
+    factors,
     irreducible_layers,
     is_nested,
     point_layer,
     successor,
 )
-from toricwonder import arrangement
+from toricwonder import arrangement, lattices, nested
 from toricwonder.arrangement import top_member
-from toricwonder.nested import _all_nested
+from toricwonder.nested import _all_nested, _nested_sets
 from oracles import (
+    ARR_FILES,
     ORACLE_CASES,
+    RANK_FOUR_CASES,
     case_arrangement,
     oracle_all_nested,
+    oracle_center,
+    oracle_enumerate_maximal,
     oracle_is_nested,
     oracle_maximal_nested,
     oracle_nested_family,
@@ -308,6 +314,87 @@ class TestNestedOracle:
                     assert a.contains(b) == (not a.mask & ~b.mask)
 
 
+class TestIntersectionPath:
+    """Centers and witness flags read from the poset's flat table against
+    the components of each intersection, which they replaced."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES + RANK_FOUR_CASES)
+    def test_enumeration_matches(self, case):
+        poset = build_poset(case_arrangement(case))
+        building = irreducible_layers(poset)
+        for p in poset.points:
+            expected = oracle_enumerate_maximal(poset, p, building)
+            assert _shape(enumerate_maximal(poset, p, building)) == _shape(expected)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_center_and_witness_match(self, case):
+        poset = build_poset(case_arrangement(case))
+        n = poset.arrangement.rank
+        # the hypersurfaces alone, unvalidated, leave some nested families
+        # with a disconnected intersection
+        walls = tuple(l for l in poset.layers if l.dim == n - 1)
+        for building in (irreducible_layers(poset), BuildingSet(walls, "custom")):
+            members = building.members
+            rng = random.Random(len(members))
+            for _ in range(40):
+                combo = rng.sample(members, rng.randint(1, min(n + 1, len(members))))
+                expected, reason = oracle_center(combo, building, poset)
+                if expected is None:
+                    with pytest.raises(NotNested, match=reason):
+                        center(combo, building, poset)
+                else:
+                    assert center(combo, building, poset).key() == expected.key()
+                ok, witness = is_nested(combo, building, poset)
+                expected_ok, expected_witness = oracle_is_nested(combo, building, poset)
+                assert ok == expected_ok
+                if ok:
+                    assert [l.key() for l in witness.chain] == [
+                        l.key() for l in expected_witness.chain
+                    ]
+
+
+def _mobius_from_bottom(flats):
+    """mu(0, f) on the lattice of flats, given as bitmasks."""
+    mu = {}
+    for f in sorted(flats, key=lambda f: bin(f).count("1")):
+        mu[f] = 1 if f == 0 else -sum(v for g, v in mu.items() if not g & ~f)
+    return mu
+
+
+def _check_mobius_at_points(poset, building):
+    """At each point p with k factors: the sum of (-1)^(|S|-1) over the sets
+    S nested at p among the members through p other than its factors, the
+    empty set included, is (-1)^(k-1) mu(0, supp p) over the flats at p."""
+    for p in poset.points:
+        local = building._at(p)
+        own = set(factors(poset, p, building))
+        candidates = [k for k, m in enumerate(local.members) if m not in own]
+        total = -sum(
+            (-1) ** len(chosen) for chosen in _nested_sets(local, poset, candidates)
+        )
+        mu = _mobius_from_bottom(poset.flats_at(p))
+        assert total == (-1) ** (len(own) - 1) * mu[p.mask], p
+
+
+FILE_CASES = [pytest.param(p, id=p.stem) for p in ARR_FILES]
+
+
+class TestMobiusInvariant:
+    """An identity of the nested-set complex at each point (Feichtner and
+    Mueller, On the topology of nested set complexes, 2005), read from the
+    flat table alone, so it tests the table-driven flat test."""
+
+    @pytest.mark.parametrize("case", FILE_CASES + RANK_FOUR_CASES[:2])
+    def test_irreducible(self, case):
+        poset = build_poset(case_arrangement(case))
+        _check_mobius_at_points(poset, irreducible_layers(poset))
+
+    @pytest.mark.parametrize("case", FILE_CASES + RANK_FOUR_CASES[:1])
+    def test_maximal_building_set(self, case):
+        poset = build_poset(case_arrangement(case))
+        _check_mobius_at_points(poset, custom_building_set(poset, poset.layers))
+
+
 class TestNestedScale:
     def test_c3_contains_calls(self, monkeypatch):
         poset = build_poset(root_system("C", 3))
@@ -330,3 +417,37 @@ class TestNestedScale:
         assert len(poset.arrangement.characters) == 10
         sets = enumerate_all_maximal(poset, irreducible_layers(poset))
         assert len(sets) == 105
+
+    @pytest.mark.parametrize(
+        "kind, rank, count",
+        # 9!! = 945 for A5 (De Concini and Procesi, 1995)
+        [("B", 4, 672), ("C", 4, 1008), ("A", 5, 945)],
+    )
+    def test_rank_four_and_five_counts(self, kind, rank, count):
+        poset = build_poset(root_system(kind, rank))
+        assert len(enumerate_all_maximal(poset, irreducible_layers(poset))) == count
+
+    def test_b5_count(self):
+        poset = build_poset(root_system("B", 5))
+        assert len(enumerate_all_maximal(poset, irreducible_layers(poset))) == 10800
+
+    def test_b4_no_torsion_solve(self, monkeypatch):
+        poset = build_poset(root_system("B", 4))
+        building = irreducible_layers(poset)
+        calls = []
+        solve = lattices.solve_torsion_system
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(lattices, "solve_torsion_system", counted)
+        monkeypatch.setattr(arrangement, "solve_torsion_system", counted)
+        sets = enumerate_all_maximal(poset, building)
+        assert len(sets) == 672
+        for s in sets[::24]:
+            assert center(s.members, building, poset) == s.center
+        assert calls == []
+        # the intersection path still solves
+        nested.intersection_components(poset.arrangement, sets[0].members)
+        assert len(calls) == 1

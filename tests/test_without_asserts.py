@@ -13,8 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = """
 from fractions import Fraction
 from toricwonder import (
-    BuildingSet, Flag, ToricError, build_chart, build_poset, center, core,
-    decomposition, enumerate_maximal, irreducible_layers, normalize, point_layer,
+    BuildingSet, Flag, NestedSet, ToricError, build_chart, build_poset, center,
+    core, decomposition, enumerate_maximal, irreducible_layers, normalize,
+    point_layer,
 )
 from toricwonder.lattices import invert_unimodular
 
@@ -37,6 +38,8 @@ for case in (
     lambda: center(lines, BuildingSet(lines, "custom"), poset),
     # vectors of different lengths
     lambda: decomposition.finest_integral_decomposition([(1, 0), (1,)]),
+    # a chart member that misses the center
+    lambda: build_chart(poset, NestedSet((lines[0], elsewhere), point_layer(arr, (0, 0)))),
 ):
     try:
         case()
@@ -67,7 +70,7 @@ def test_typed_errors(optimize):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "NotAdapted", "NotContained", "NotUnimodular", "NotUnimodular",
-        "NotNested", "NotNested", "InvalidPartition",
+        "NotNested", "NotNested", "InvalidPartition", "NotNested",
     ]
 
 
