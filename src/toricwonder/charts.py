@@ -16,6 +16,7 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import (
     InvalidGerm,
@@ -106,13 +107,12 @@ def adapted_basis_rows(members) -> list[Vector]:
     return rows_rest + new_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetaTerm:
     """One summand of the unit-function expansion of a character.
 
     Evaluates to sign * e^{2 pi i angle} * prod member-values^exponent *
-    prod (member-value - root of unity).  The roots of unity are computed
-    once, when the term is made.
+    prod (member-value - e^{2 pi i root angle}).
     """
 
     member: int
@@ -120,25 +120,9 @@ class BetaTerm:
     angle: Fraction
     monomial: tuple[tuple[int, int], ...]
     linear: tuple[tuple[int, Fraction], ...]
-    _scale: complex = field(init=False, repr=False, compare=False)
-    _roots: tuple[tuple[int, complex], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_scale", self.sign * unit_root(self.angle))
-        object.__setattr__(
-            self, "_roots", tuple((idx, unit_root(a)) for idx, a in self.linear)
-        )
-
-    def eval(self, values) -> complex:
-        out = self._scale
-        for idx, e in self.monomial:
-            out *= values[idx] ** e
-        for idx, root in self._roots:
-            out *= values[idx] - root
-        return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChartFunction:
     """The unit factor of (character - constant) in chart coordinates.
 
@@ -152,17 +136,24 @@ class ChartFunction:
     value: Fraction
     base_member: int
     terms: tuple[BetaTerm, ...]
-    # per term, the coordinates below its member but not below base_member
-    _extra: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # per term: scale, monomial, (index, root) of each linear factor, and the
+    # coordinates below its member but not below base_member; the roots of
+    # unity are computed once, when the function is made
+    _flat: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         below = self.chart.below
         base_below = set(below[self.base_member])
         object.__setattr__(
             self,
-            "_extra",
+            "_flat",
             tuple(
-                tuple(e for e in below[term.member] if e not in base_below)
+                (
+                    term.sign * unit_root(term.angle),
+                    term.monomial,
+                    tuple((idx, unit_root(a)) for idx, a in term.linear),
+                    tuple(e for e in below[term.member] if e not in base_below),
+                )
                 for term in self.terms
             ),
         )
@@ -172,13 +163,7 @@ class ChartFunction:
 
     def _at(self, z, values) -> complex:
         """The value at z, given the chart's member character values at z."""
-        total = 0j
-        for term, extra in zip(self.terms, self._extra):
-            contrib = term.eval(values)
-            for e in extra:
-                contrib *= z[e]
-            total += contrib
-        return total
+        return _unit_values((self._flat,), z, values)[0]
 
 
 @dataclass(eq=False)
@@ -195,13 +180,15 @@ class Chart:
     succ: tuple[int | None, ...] = field(init=False)
     _roots: tuple[complex, ...] = field(init=False)  # unit_root of each constant
     _above: tuple[tuple[int, ...], ...] = field(init=False)
-    _basis_inv: tuple = field(init=False)
+    # row j of the inverse basis as (member, exponent) pairs: the exponents of
+    # the member character values in torus coordinate j
+    _basis_inv: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
     _functions: dict = field(init=False, default_factory=dict)
     _units: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         # first, so that a basis that is not unimodular fails before any other check
-        self._basis_inv = invert_unimodular(self.basis)
+        self._basis_inv = tuple(map(_sparse, invert_unimodular(self.basis)))
         phi = self.point_coordinates
         self.constants = tuple(pairing(row, phi) for row in self.basis)
         self._roots = tuple(unit_root(a) for a in self.constants)
@@ -250,9 +237,7 @@ class Chart:
 
     def member_character_values(self, z) -> list[complex]:
         """The value of each basis character at the image torus point."""
-        return [
-            self.coordinate_monomial(z, i) + root for i, root in enumerate(self._roots)
-        ]
+        return [m + root for m, root in zip(_monomials(z, self.below), self._roots)]
 
     def in_coordinate_domain(self, z) -> bool:
         return self._in_domain(self.member_character_values(z))
@@ -268,28 +253,29 @@ class Chart:
 
     def _to_torus(self, values) -> tuple[complex, ...]:
         """The torus point whose member character values are `values`."""
-        return tuple(
-            _int_power_product(values, self._basis_inv[j])
-            for j in range(self.rank)
-        )
+        return tuple(_power_products(values, self._basis_inv))
 
     def character_value(self, t, vector) -> complex:
-        return _int_power_product(t, vector)
+        return _power_products(t, (_sparse(vector),))[0]
 
     def torus_to_chart(self, t) -> tuple[complex, ...]:
-        nums = list(_numerators(t, self.basis, self._roots))
-        for i, j in enumerate(self.succ):
-            if j is not None and abs(nums[j]) <= self.tolerance:
-                raise OnDivisor(
-                    f"coordinate {i}: successor character sits on its divisor"
-                )
-        return tuple(x if j is None else x / nums[j] for x, j in zip(nums, self.succ))
+        rows = tuple(map(_sparse, self.basis))
+        return _to_chart(t, rows, self._roots, self.succ, self.tolerance)
 
     # -- the unit functions --------------------------------------------
 
+    def _coefficients(self, vector) -> list[int]:
+        """The coefficients of a character in the chart basis."""
+        coeffs = [0] * self.rank
+        for x, row in zip(vector, self._basis_inv):
+            if x:
+                for i, e in row:
+                    coeffs[i] += x * e
+        return coeffs
+
     def constant_member(self, vector) -> Layer | None:
         """The largest member on which the character matches its value at p."""
-        c = self._top_constant(vec_mat(vector, self._basis_inv))
+        c = self._top_constant(self._coefficients(vector))
         return None if c is None else self.members[c]
 
     def _top_constant(self, coeffs) -> int | None:
@@ -329,14 +315,20 @@ class Chart:
         prod (zeta_b - zeta_b omega^j) over the k-th roots omega^j != 1,
         k = |m_b|.  It is non-zero iff the base coefficient m_b is, which
         is checked here exactly.
+
+        The angles are summed as integer numerators over the constants'
+        common denominator `den`, as in `pairing`; only the angles of the
+        terms are made into `Fraction`s.
         """
         if pairing(vector, self.point_coordinates) != value:
             raise OutsideDomain(
                 "the character does not pass through the chart center"
             )
-        coeffs = list(vec_mat(vector, self._basis_inv))
+        coeffs = self._coefficients(vector)
+        den = lcm(*(a.denominator for a in self.constants))
+        nums = [a.numerator * (den // a.denominator) for a in self.constants]
         terms = []
-        pref = Fraction(0)
+        pref = 0
         base = None
         while any(coeffs):
             c = self._top_constant(coeffs)
@@ -364,13 +356,16 @@ class Chart:
             if m_c < 0:
                 sign = -1
                 monomial.append((c, m_c))
-                angle += m_c * self.constants[c]
+                angle += m_c * nums[c]
+            # the roots zeta_c omega^j: constant + j/k over den * k
             linear = tuple(
-                (c, mod1(self.constants[c] + Fraction(j, k)))
+                (c, Fraction((nums[c] * k + j * den) % (den * k), den * k))
                 for j in range(1, k)
             )
-            terms.append(BetaTerm(c, sign, mod1(angle), tuple(monomial), linear))
-            pref += m_c * self.constants[c]
+            terms.append(
+                BetaTerm(c, sign, Fraction(angle % den, den), tuple(monomial), linear)
+            )
+            pref += m_c * nums[c]
             coeffs[c] = 0
         if base is None:
             raise NotExpandable("the trivial character has no unit function")
@@ -411,31 +406,89 @@ class Chart:
 
     @cached_property
     def _far_layers(self):
-        """(basis rows, roots of their values) of each layer missing the center."""
+        """(basis rows as (index, exponent) pairs, roots of their values) of
+        each layer missing the center.  A layer holds the center iff it
+        passes through it, which the center's flat table records by mask."""
+        through = self.poset.flats_at(self.center)
         return tuple(
-            (layer.lattice.basis, tuple(unit_root(v) for v in layer.values))
+            (
+                tuple(map(_sparse, layer.lattice.basis)),
+                tuple(unit_root(v) for v in layer.values),
+            )
             for layer in self.poset.layers
-            if not layer.contains(self.center)
+            if through.get(layer.mask) is not layer
         )
 
     def coordinate_monomial(self, z, base_member: int) -> complex:
+        return _monomials(z, (self.below[base_member],))[0]
+
+
+# -- flat evaluation ----------------------------------------------------
+# Every float path of a chart goes through these.  Each product starts at
+# 1 + 0j and multiplies in index order, as when the sweep pins were made:
+# another order changes the last bits.
+
+
+def _sparse(row) -> tuple[tuple[int, int], ...]:
+    """The non-zero entries of an integer row as (index, entry) pairs."""
+    return tuple((i, x) for i, x in enumerate(row) if x)
+
+
+def _monomials(z, below) -> list[complex]:
+    """For each index tuple in `below`, the product of those coordinates of z."""
+    out = []
+    for inside in below:
         prod = 1 + 0j
-        for e in self.below[base_member]:
+        for e in inside:
             prod *= z[e]
-        return prod
-
-
-def _int_power_product(values, exponents) -> complex:
-    out = 1 + 0j
-    for v, e in zip(values, exponents):
-        if e:
-            out *= v ** e
+        out.append(prod)
     return out
 
 
-def _numerators(t, rows, roots):
-    """Each character's value at t minus the root of its constant, lazily."""
-    return (_int_power_product(t, row) - root for row, root in zip(rows, roots))
+def _power_products(values, rows) -> list[complex]:
+    """For each row of (index, exponent) pairs, the product of values[i] ** e."""
+    out = []
+    for row in rows:
+        prod = 1 + 0j
+        for i, e in row:
+            prod *= values[i] ** e
+        out.append(prod)
+    return out
+
+
+def _unit_values(flats, z, values) -> list[complex]:
+    """Unit functions at z from their `ChartFunction._flat` terms, given the
+    member character values at z."""
+    out = []
+    for flat in flats:
+        total = 0j
+        for scale, monomial, roots, extra in flat:
+            term = scale
+            for i, e in monomial:
+                term *= values[i] ** e
+            for i, root in roots:
+                term *= values[i] - root
+            for e in extra:
+                term *= z[e]
+            total += term
+        out.append(total)
+    return out
+
+
+def _numerators(t, rows, roots) -> list[complex]:
+    """Each character's value at t minus the root of its constant, given the
+    characters as rows of (index, exponent) pairs."""
+    return [x - root for x, root in zip(_power_products(t, rows), roots)]
+
+
+def _to_chart(t, rows, roots, succ, tolerance) -> tuple[complex, ...]:
+    """Chart coordinates of the torus point t by successor ratios, given the
+    basis rows as (index, exponent) pairs and the roots of their constants."""
+    nums = _numerators(t, rows, roots)
+    for i, j in enumerate(succ):
+        if j is not None and abs(nums[j]) <= tolerance:
+            raise OnDivisor(f"coordinate {i}: successor character sits on its divisor")
+    return tuple(x if j is None else x / nums[j] for x, j in zip(nums, succ))
 
 
 def build_chart(
@@ -532,7 +585,7 @@ def transition(source: Chart, target: Chart, z) -> tuple[tuple[complex, ...], Tr
 def _transition_on_divisor(source, target, z, t):
     """Successor ratios computed through the source chart's unit functions."""
     phi = source.point_coordinates
-    nums = list(_numerators(t, target.basis, target._roots))
+    nums = _numerators(t, tuple(map(_sparse, target.basis)), target._roots)
     out = []
     for i, j in enumerate(target.succ):
         if j is None:
@@ -720,20 +773,24 @@ def _limit_coordinates(chart: Chart, germ: CurveGerm) -> tuple[complex, ...]:
 # -- verification sweeps ------------------------------------------------
 
 
-def _sample_coordinate(rng) -> complex:
-    r = 0.1 + 0.4 * rng.random()
-    theta = 2 * cmath.pi * rng.random()
-    return r * cmath.exp(1j * theta)
+def _sample_point(rng, rank: int) -> tuple[complex, ...]:
+    """A random chart point: each coordinate has modulus 0.1 + 0.4 u and
+    angle 2 pi u', with u and then u' drawn from `rng`."""
+    rnd, exp, two_pi = rng.random, cmath.exp, 2 * cmath.pi
+    return tuple([(0.1 + 0.4 * rnd()) * exp(1j * (two_pi * rnd())) for _ in range(rank)])
 
 
 def _domain_samples(chart: Chart, rng, samples: int):
-    """(z, member character values, torus point) of each of `samples` random
-    chart points whose torus coordinates do not vanish."""
+    """(z, coordinate monomial of each member, member character values,
+    torus point) of each of `samples` random chart points whose torus
+    coordinates do not vanish."""
+    below, roots, inv, tol = chart.below, chart._roots, chart._basis_inv, chart.tolerance
     for _ in range(samples):
-        z = tuple(_sample_coordinate(rng) for _ in range(chart.rank))
-        values = chart.member_character_values(z)
-        if chart._in_domain(values):
-            yield z, values, chart._to_torus(values)
+        z = _sample_point(rng, len(below))
+        monos = _monomials(z, below)
+        values = [m + root for m, root in zip(monos, roots)]
+        if all(abs(v) > tol for v in values):
+            yield z, monos, values, _power_products(values, inv)
 
 
 def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
@@ -742,26 +799,32 @@ def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
     The unit functions are expanded at the first sample in the domain.
     """
     worst = 0.0
-    for z, values, t in _domain_samples(chart, rng, samples):
-        for f, vector, root in chart._support_units():
-            lhs = f._at(z, values) * chart.coordinate_monomial(z, f.base_member)
-            value = chart.character_value(t, vector)
-            rel = abs(lhs - (value - root)) / (1 + abs(value))
-            worst = max(worst, rel)
+    units = None
+    for z, monos, values, t in _domain_samples(chart, rng, samples):
+        if units is None:
+            units = chart._support_units()
+            flats = [f._flat for f, _, _ in units]
+            rows = [_sparse(vector) for _, vector, _ in units]
+            bases = [(f.base_member, root) for f, _, root in units]
+        lhs = _unit_values(flats, z, values)
+        for unit, value, (base, root) in zip(lhs, _power_products(t, rows), bases):
+            rel = abs(unit * monos[base] - (value - root)) / (1 + abs(value))
+            if rel > worst:
+                worst = rel
     return worst
 
 
 def roundtrip_sweep(chart: Chart, rng, samples: int = 100) -> float:
     worst = 0.0
-    for z, _, t in _domain_samples(chart, rng, samples):
+    rows = tuple(map(_sparse, chart.basis))
+    for z, _, _, t in _domain_samples(chart, rng, samples):
         try:
-            z_back = chart.torus_to_chart(t)
+            z_back = _to_chart(t, rows, chart._roots, chart.succ, chart.tolerance)
         except OnDivisor:
             continue
-        err = max(
-            abs(a - b) / (1 + abs(a)) for a, b in zip(z, z_back)
-        )
-        worst = max(worst, err)
+        err = max(abs(a - b) / (1 + abs(a)) for a, b in zip(z, z_back))
+        if err > worst:
+            worst = err
     return worst
 
 
@@ -777,7 +840,7 @@ def overlap_sweep(
     tries = 0
     while len(reports) < samples and tries < max_tries:
         tries += 1
-        z = tuple(_sample_coordinate(rng) for _ in range(source.rank))
+        z = _sample_point(rng, source.rank)
         try:
             if not source.in_chart(z):
                 continue
@@ -794,13 +857,14 @@ def cover_sweep(charts, rng, samples: int = 500, tolerance: float = 1e-6) -> int
     if not charts:
         return 0
     arr = charts[0].poset.arrangement
+    rows = [_sparse(v) for v in arr.vectors]
     roots = [unit_root(ch.value) for ch in arr.characters]
     covered = 0
     done = 0
     while done < samples:
         phi = [rng.random() for _ in range(arr.rank)]
         t = tuple(cmath.exp(2j * cmath.pi * x) for x in phi)
-        if any(abs(x) < tolerance for x in _numerators(t, arr.vectors, roots)):
+        if any(abs(x) < tolerance for x in _numerators(t, rows, roots)):
             continue
         done += 1
         for chart in charts:

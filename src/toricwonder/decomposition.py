@@ -56,7 +56,13 @@ def is_integral_decomposition(vectors, blocks) -> bool:
     _check_partition(vectors, blocks)
     n = len(vectors[0])
     sats = [saturate(Sublattice.from_rows(n, [vectors[i] for i in b])) for b in blocks]
-    if sum(s.rank for s in sats) != _rank(vectors):
+    return _sums_to_saturation(sats, _rank(vectors))
+
+
+def _sums_to_saturation(sats, rank: int) -> bool:
+    """True iff `sats`, the saturated spans of the blocks of a vector set of
+    the given `rank`, direct-sum to the saturation of the whole set."""
+    if sum(s.rank for s in sats) != rank:
         return False
     # independent rows of full rank in the whole's saturation span it iff primitive
     stacked = tuple(row for s in sats for row in s.basis)
@@ -114,14 +120,23 @@ def finest_integral_decomposition(vectors) -> Partition:
     best: Partition = (tuple(range(len(vectors))),)
     if len(comps) == 1:
         return best
+    n, rank = len(vectors[0]), _rank(vectors)
+    # the coarsenings share their blocks: saturate each one once, keyed by
+    # its set of component indices
+    sats: dict[frozenset[int], Sublattice] = {}
     for grouping in _set_partitions(list(range(len(comps)))):
         if len(grouping) <= len(best):
             continue
-        blocks = _canonical_partition(
-            tuple(i for c in group for i in comps[c]) for group in grouping
-        )
-        if is_integral_decomposition(vectors, blocks):
-            best = blocks
+        blocks = []
+        for group in map(frozenset, grouping):
+            if group not in sats:
+                rows = [vectors[i] for i in sorted(i for c in group for i in comps[c])]
+                sats[group] = saturate(Sublattice.from_rows(n, rows))
+            blocks.append(sats[group])
+        if _sums_to_saturation(blocks, rank):
+            best = _canonical_partition(
+                tuple(i for c in group for i in comps[c]) for group in grouping
+            )
     return best
 
 

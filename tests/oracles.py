@@ -18,6 +18,10 @@ intersection, each solved as one torsion system.  The
 expansion oracle is the original residual-vector expansion of a character
 in a chart: it finds each member by an exact `Layer.value_of` scan and
 stops where a residual has no component on its largest constant member.
+The peel-expansion oracle is the library's expansion with its angles as
+`Fraction` sums.  The sweep oracles evaluate the charts one sample, one
+unit function and one term at a time, from the dense inverse basis and
+fresh roots of unity, as the library's sweeps once did.
 The inverse and determinant oracles are `Fraction` Gauss-Jordan and Gauss
 eliminations, independent of the library's integer Hermite form.  The
 pairing oracle sums `Fraction` products, independent of the library's
@@ -25,6 +29,7 @@ integer numerators.  The characteristic-polynomial oracle is the subset
 sum over all 2^m character subsets, each solved as one torsion system.
 """
 
+import cmath
 import itertools
 import random
 from fractions import Fraction
@@ -52,7 +57,7 @@ from toricwonder import (
 )
 from toricwonder.arrangement import _closure
 from toricwonder.nested import _nested_sets
-from toricwonder.charts import BetaTerm, ChartFunction, maximal_constant_member
+from toricwonder.charts import BetaTerm, ChartFunction, maximal_constant_member, unit_root
 from toricwonder.cli import parse_file
 from toricwonder.lattices import mod1, vec_mat
 
@@ -518,11 +523,12 @@ def oracle_expand(chart, vector, value):
     scan of every member, until nothing is left; None where a residual has
     no component on that member."""
     terms, pref, cur, base = [], Fraction(0), tuple(vector), None
+    inverse = oracle_inverse(chart.basis)
     while any(cur):
         layer = maximal_constant_member(chart.members, chart.point_coordinates, cur)
         c = chart.members.index(layer)
         base = c if base is None else base
-        coeffs = vec_mat(cur, chart._basis_inv)
+        coeffs = vec_mat(cur, inverse)
         m = coeffs[c]
         if m == 0:
             return None
@@ -540,3 +546,137 @@ def oracle_expand(chart, vector, value):
         pref += m * chart.constants[c]
         cur = tuple(x - m * y for x, y in zip(cur, chart.basis[c]))
     return ChartFunction(chart, tuple(vector), value, base, tuple(terms))
+
+
+def oracle_peel_expand(chart, vector, value):
+    """The library's expansion as it was before its angles were summed in
+    integer numerators: the same peeling order, taken from the chart's
+    index tables, with every angle and root a `Fraction` sum reduced mod 1."""
+    coeffs = list(vec_mat(vector, oracle_inverse(chart.basis)))
+    terms, pref, base = [], Fraction(0), None
+    while any(coeffs):
+        c = chart._top_constant(coeffs)
+        if base is None:
+            base = c
+        elif coeffs[c] == 0:
+            c = next(j for j in chart.below_inverse(base) if coeffs[j])
+        m_c = coeffs[c]
+        monomial = [
+            (j, coeffs[j]) for j in chart.below_inverse(base) if j != c and coeffs[j]
+        ]
+        sign, angle, k = 1, pref, abs(m_c)
+        if m_c < 0:
+            sign = -1
+            monomial.append((c, m_c))
+            angle += m_c * chart.constants[c]
+        linear = tuple(
+            (c, mod1(chart.constants[c] + Fraction(j, k))) for j in range(1, k)
+        )
+        terms.append(BetaTerm(c, sign, mod1(angle), tuple(monomial), linear))
+        pref += m_c * chart.constants[c]
+        coeffs[c] = 0
+    return ChartFunction(chart, tuple(vector), value, base, tuple(terms))
+
+
+# -- the per-sample sweep path: dense rows, one evaluation per term --------
+
+
+def _dense_power_product(values, exponents) -> complex:
+    out = 1 + 0j
+    for v, e in zip(values, exponents):
+        if e:
+            out *= v ** e
+    return out
+
+
+def _oracle_monomial(chart, z, member) -> complex:
+    prod = 1 + 0j
+    for e in chart.below[member]:
+        prod *= z[e]
+    return prod
+
+
+def oracle_unit_terms(chart, f):
+    """(scale, monomial, roots of the linear factors, extra coordinates)
+    of each term of a unit function, read off its `BetaTerm`s."""
+    base_below = set(chart.below[f.base_member])
+    return [
+        (
+            term.sign * unit_root(term.angle),
+            term.monomial,
+            [(idx, unit_root(a)) for idx, a in term.linear],
+            [e for e in chart.below[term.member] if e not in base_below],
+        )
+        for term in f.terms
+    ]
+
+
+def oracle_unit_value(terms, z, values) -> complex:
+    total = 0j
+    for scale, monomial, roots, extra in terms:
+        out = scale
+        for idx, e in monomial:
+            out *= values[idx] ** e
+        for idx, root in roots:
+            out *= values[idx] - root
+        for e in extra:
+            out *= z[e]
+        total += out
+    return total
+
+
+def _oracle_sample_coordinate(rng) -> complex:
+    r = 0.1 + 0.4 * rng.random()
+    theta = 2 * cmath.pi * rng.random()
+    return r * cmath.exp(1j * theta)
+
+
+def oracle_domain_samples(chart, rng, samples):
+    """(z, member character values, torus point) of each of `samples`
+    random chart points whose torus coordinates do not vanish; the torus
+    point comes from the dense inverse of the basis."""
+    inverse = oracle_inverse(chart.basis)
+    roots = [unit_root(a) for a in chart.constants]
+    for _ in range(samples):
+        z = tuple(_oracle_sample_coordinate(rng) for _ in range(chart.rank))
+        values = [_oracle_monomial(chart, z, i) + root for i, root in enumerate(roots)]
+        if all(abs(v) > chart.tolerance for v in values):
+            yield z, values, tuple(_dense_power_product(values, row) for row in inverse)
+
+
+def oracle_torus_to_chart(chart, t):
+    """Successor ratios of the dense basis numerators; None on a divisor."""
+    roots = [unit_root(a) for a in chart.constants]
+    nums = [_dense_power_product(t, row) - root for row, root in zip(chart.basis, roots)]
+    if any(j is not None and abs(nums[j]) <= chart.tolerance for j in chart.succ):
+        return None
+    return tuple(x if j is None else x / nums[j] for x, j in zip(nums, chart.succ))
+
+
+def oracle_residual_sweep(chart, rng, samples=100) -> float:
+    """`residual_sweep` one sample, unit and term at a time."""
+    worst, units = 0.0, None
+    for z, values, t in oracle_domain_samples(chart, rng, samples):
+        if units is None:
+            units = [
+                (oracle_unit_terms(chart, f), f.base_member, vector, root)
+                for f, vector, root in chart._support_units()
+            ]
+        for terms, base, vector, root in units:
+            lhs = oracle_unit_value(terms, z, values) * _oracle_monomial(chart, z, base)
+            value = _dense_power_product(t, vector)
+            rel = abs(lhs - (value - root)) / (1 + abs(value))
+            worst = max(worst, rel)
+    return worst
+
+
+def oracle_roundtrip_sweep(chart, rng, samples=100) -> float:
+    """`roundtrip_sweep` one sample at a time."""
+    worst = 0.0
+    for z, _, t in oracle_domain_samples(chart, rng, samples):
+        z_back = oracle_torus_to_chart(chart, t)
+        if z_back is None:
+            continue
+        err = max(abs(a - b) / (1 + abs(a)) for a, b in zip(z, z_back))
+        worst = max(worst, err)
+    return worst

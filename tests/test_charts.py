@@ -41,7 +41,19 @@ from toricwonder.lattices import (
     invert_unimodular,
     lattice_index,
 )
-from oracles import ARR_FILES, oracle_expand, random_arrangement, root_system
+from oracles import (
+    ARR_FILES,
+    oracle_domain_samples,
+    oracle_expand,
+    oracle_peel_expand,
+    oracle_residual_sweep,
+    oracle_roundtrip_sweep,
+    oracle_torus_to_chart,
+    oracle_unit_terms,
+    oracle_unit_value,
+    random_arrangement,
+    root_system,
+)
 from oracles import oracle_determinant as determinant
 
 F = Fraction
@@ -76,6 +88,12 @@ def bench_atlases():
         poset = build_poset(arr)
         out[path.stem] = (arr, atlas(poset, irreducible_layers(poset)))
     return out
+
+
+@pytest.fixture(scope="module")
+def a4_atlas():
+    poset = build_poset(root_system("A", 4))
+    return atlas(poset, irreducible_layers(poset))
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +272,18 @@ class TestChartTables:
                 chart.character_unit(row, value)
         assert not calls
 
+    def test_first_in_chart(self, doubled_square, monkeypatch):
+        """The layers missing the center come from the center's flat table."""
+        arr, poset, building = doubled_square
+        fresh = atlas(poset, building)
+        calls = count_calls(monkeypatch, Layer, ["value_of", "contains"])
+        for chart in fresh:
+            assert chart.in_chart((0j,) * chart.rank)
+        assert not calls
+        for chart in fresh:
+            far = [l for l in poset.layers if not l.contains(chart.center)]
+            assert len(chart._far_layers) == len(far)
+
     def test_second_in_chart(self, doubled_square, monkeypatch):
         arr, poset, building = doubled_square
         fresh = atlas(poset, building)
@@ -263,7 +293,7 @@ class TestChartTables:
         rng = random.Random(4)
         for chart in fresh:
             for _ in range(20):
-                z = tuple(charts._sample_coordinate(rng) for _ in range(chart.rank))
+                z = charts._sample_point(rng, chart.rank)
                 chart.in_chart(z)
         assert not calls
 
@@ -505,6 +535,54 @@ class TestSweepPin:
         assert digest.hexdigest() == SWEEP_PIN
 
 
+SWEEPS = [(residual_sweep, oracle_residual_sweep), (roundtrip_sweep, oracle_roundtrip_sweep)]
+
+
+def assert_sweeps_match(fam_atlas, stream, samples):
+    """Both sweeps of every chart, on one shared random stream, return the
+    oracle's floats to the last bit and draw the same numbers."""
+    rng, ref = random.Random(stream), random.Random(stream)
+    for chart in fam_atlas:
+        for sweep, oracle in SWEEPS:
+            assert repr(sweep(chart, rng, samples)) == repr(oracle(chart, ref, samples))
+    assert rng.getstate() == ref.getstate()
+
+
+class TestSweepOracle:
+    """The sweeps over flat chart data against the per-sample path they
+    replaced: dense rows and one call per sample, unit and term."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [1, 7, 100])
+    def test_bench_and_example_charts(self, bench_atlases, seed, samples):
+        for name, (_, fam_atlas) in bench_atlases.items():
+            assert_sweeps_match(fam_atlas, f"{seed}:{name}", samples)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a4(self, a4_atlas, seed):
+        for samples in (1, 7, 100):
+            assert_sweeps_match(a4_atlas, f"{seed}:A4", samples)
+
+    @pytest.mark.parametrize("tolerance, skip", [(0.2, "divisor"), (0.9, "domain")])
+    def test_skipped_samples(self, family_atlases, tolerance, skip):
+        """A large tolerance puts some samples outside the coordinate domain
+        (0.9) or some roundtrip points on a divisor (0.2); both skips match."""
+        fam_atlas = [
+            build_chart(c.poset, c.nested_set, tolerance=tolerance)
+            for c in family_atlases["B3"][:10]
+        ]
+        kept, on_divisor = 0, 0
+        for chart in fam_atlas:
+            points = list(oracle_domain_samples(chart, random.Random(1), 100))
+            kept += len(points)
+            on_divisor += sum(oracle_torus_to_chart(chart, t) is None for *_, t in points)
+        # some samples skipped, not all of those that reach the check
+        skipped, reached = {"domain": (1000 - kept, 1000), "divisor": (on_divisor, kept)}[skip]
+        assert 0 < skipped < reached
+        for samples in (1, 7, 100):
+            assert_sweeps_match(fam_atlas, f"skip:{tolerance}", samples)
+
+
 class TestSweepScale:
     """A warm chart's sweep does no exact arithmetic per sample."""
 
@@ -592,6 +670,22 @@ class TestEveryChartExpands:
         for k, chart in enumerate(fam_atlas):
             assert residual_sweep(chart, random.Random(k), 20) <= 1e-9
 
+    def test_integer_angles(self, bench_atlases, a4_atlas):
+        """The angles, summed as integer numerators, give the terms of the
+        `Fraction` peel, and of the original expansion where it expands."""
+        atlases = [fam_atlas for _, fam_atlas in bench_atlases.values()] + [a4_atlas]
+        checked = 0
+        for fam_atlas in atlases:
+            for chart in fam_atlas:
+                for f, vector, _ in chart._support_units():
+                    peel = oracle_peel_expand(chart, vector, f.value)
+                    assert (f.base_member, f.terms) == (peel.base_member, peel.terms)
+                    old = oracle_expand(chart, vector, f.value)
+                    if old is not None:
+                        assert f.terms == old.terms
+                        checked += 1
+        assert sum(map(len, atlases)) == 512 and checked > 0
+
     def test_zero_character_has_no_unit(self, std_chart):
         with pytest.raises(charts.NotExpandable):
             std_chart.character_unit((0, 0), F(0))
@@ -606,7 +700,8 @@ class TestEveryChartExpands:
                 at_origin = chart.member_character_values(origin)
                 for f, _, _ in chart._support_units():
                     assert f.terms[0].member == f.base_member
-                    assert f(origin) == f.terms[0].eval(at_origin)
+                    base_term = oracle_unit_terms(chart, f)[:1]
+                    assert f(origin) == oracle_unit_value(base_term, origin, at_origin)
                     assert abs(f(origin)) > 1e-3
                 for _ in range(20):
                     z = tuple(near_divisor(rng) for _ in range(chart.rank))

@@ -164,7 +164,7 @@ class TestBuildingSetScale:
         poset = build_poset(root_system("B", 4))
         hermite = lattices.hermite_normal_form
         components = decomposition.connected_components
-        integral = decomposition.is_integral_decomposition
+        integral = decomposition._sums_to_saturation
         hermite_calls, component_counts, integral_calls = [], [], []
 
         def counted_hermite(mat):
@@ -179,13 +179,13 @@ class TestBuildingSetScale:
             component_counts.append(len(out))
             return out
 
-        def counted_integral(vectors, blocks):
+        def counted_integral(sats, rank):
             integral_calls.append(component_counts[-1])
-            return integral(vectors, blocks)
+            return integral(sats, rank)
 
         monkeypatch.setattr(lattices, "hermite_normal_form", counted_hermite)
         monkeypatch.setattr(decomposition, "connected_components", counted_components)
-        monkeypatch.setattr(decomposition, "is_integral_decomposition", counted_integral)
+        monkeypatch.setattr(decomposition, "_sums_to_saturation", counted_integral)
         building = irreducible_layers(poset)
         assert len(building.members) == 62
         assert len(component_counts) == len(poset.layers) == 160
@@ -194,6 +194,33 @@ class TestBuildingSetScale:
         assert sum(c >= 2 for c in component_counts) == 104
         assert len(integral_calls) == 140
         assert all(c >= 2 for c in integral_calls)
+
+    @pytest.mark.parametrize("kind, members", [("B", 62), ("C", 66)])
+    def test_each_block_saturated_once(self, kind, members, monkeypatch):
+        """Within one search, the coarsenings share their blocks, and each
+        distinct block (a union of components) is saturated only once."""
+        saturate = decomposition.saturate
+        seen = []
+
+        def counted_saturate(lattice):
+            seen[-1].append(lattice.basis)
+            return saturate(lattice)
+
+        def traced_finest(vectors):
+            seen.append([])
+            out = finest(vectors)
+            k = len(decomposition.connected_components(vectors))
+            # at most the proper non-empty unions of the k components
+            assert len(seen[-1]) <= max(2**k - 2, 0)
+            assert len(set(seen[-1])) == len(seen[-1])
+            return out
+
+        finest = decomposition.finest_integral_decomposition
+        monkeypatch.setattr(decomposition, "saturate", counted_saturate)
+        monkeypatch.setattr(decomposition, "finest_integral_decomposition", traced_finest)
+        poset = build_poset(root_system(kind, 4))
+        assert len(irreducible_layers(poset).members) == members
+        assert sum(map(len, seen)) > 0
 
     def test_c4_members(self):
         poset = build_poset(root_system("C", 4))
