@@ -244,6 +244,8 @@ class LayerPoset:
     ids: dict = field(init=False, repr=False, compare=False)
     _flats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _closures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the adapted-basis peel steps of `charts.build_chart`, shared by every chart
+    _peels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ids", {l: i for i, l in enumerate(self.layers)})

@@ -30,7 +30,7 @@ from .errors import (
     OnDivisor,
     OutsideDomain,
 )
-from .arrangement import Layer, LayerPoset, top_member
+from .arrangement import Layer, LayerPoset
 from .decomposition import BuildingSet, factors
 from .lattices import (
     Sublattice,
@@ -54,57 +54,78 @@ def unit_root(angle: Fraction) -> complex:
     return cmath.exp(2j * cmath.pi * float(angle))
 
 
-def maximal_constant_member(members, phi, vector) -> Layer | None:
-    """The largest member on which `vector` is constant with its value at p.
-
-    Returns None when the character is not constant on any member.
-    """
-    target = pairing(vector, phi)
-    hits = [m for m in members if m.value_of(vector) == target]
-    return top_member(hits) if hits else None
-
-
 def adapted_basis_rows(members) -> list[Vector]:
     """An integral basis adapted to a nested set, by peeling minimal members.
 
     Returns a basis of the sum of the members' saturated lattices; for a
-    maximal nested set that sum is the whole of Z^n.
+    maximal nested set that sum is the whole of Z^n.  The members are
+    peeled in `_peel_order`; each step's rows depend only on the peeled
+    member's lattice and on the lattice spanned by the rows of the members
+    peeled after it (`_peel_step`), so that pair keys the step in a memo.
+    Here the memo is fresh; `build_chart` shares one per poset.
     """
-    members = sorted(members, key=Layer.key)
-    if not members:
-        return []
-    # a minimal member, canonically chosen
-    c = next(
-        m
-        for m in members
-        if not any(o is not m and m.contains(o) for o in members)
-    )
-    rest = [m for m in members if m is not c]
-    rows_rest = adapted_basis_rows(rest)
-    n = c.lattice.ambient_rank
-    lat_rest = Sublattice.from_rows(n, rows_rest)
-    lat_all = Sublattice.from_rows(
-        n, list(lat_rest.basis) + list(c.lattice.basis)
-    )
-    if lat_all.rank == lat_rest.rank:
-        return rows_rest
-    # quotient generators of lat_all / lat_rest, lifted into the minimal
-    # member's lattice and canonically reduced
+    return _peel(_peel_order(members, Layer.contains), {})
+
+
+def _peel_order(members, contains) -> list[Layer]:
+    """The members in peeling order: the first, in `Layer.key` order, that
+    contains no other member left, then the same among the rest."""
+    left = sorted(members, key=Layer.key)
+    order = []
+    while left:
+        c = next(
+            m for m in left if not any(o is not m and contains(m, o) for o in left)
+        )
+        order.append(c)
+        left = [m for m in left if m is not c]
+    return order
+
+
+def _peel(order, memo) -> list[Vector]:
+    """The basis rows of the members in peeling order: the last member's
+    rows first, then each earlier member's step on the span of the rows
+    so far, looked up in `memo` by (member lattice, span)."""
+    rows: list[Vector] = []
+    if not order:
+        return rows
+    span = Sublattice.zero(order[0].lattice.ambient_rank)
+    for c in reversed(order):
+        key = (c.lattice, span)
+        if key not in memo:
+            memo[key] = _peel_step(c.lattice, span)
+        new_rows, span = memo[key]
+        rows += new_rows
+    return rows
+
+
+def _peel_step(lattice: Sublattice, rest: Sublattice):
+    """(rows, span): the rows that extend a basis of `rest` by a member of
+    lattice `lattice`, and the span of that basis with them.
+
+    The rows are quotient generators of (rest + lattice) / rest, lifted
+    into `lattice` and canonically reduced; none when the rank does not
+    grow.
+    """
+    n = lattice.ambient_rank
+    lat_all = Sublattice.from_rows(n, list(rest.basis) + list(lattice.basis))
+    if lat_all.rank == rest.rank:
+        return (), rest
     gens = identity_matrix(lat_all.rank)
-    if lat_rest.rank:
-        coords = tuple(lat_all.coords(row) for row in lat_rest.basis)
-        gens = invert_unimodular(smith_normal_form(coords).right)[lat_rest.rank :]
+    if rest.rank:
+        coords = tuple(lat_all.coords(row) for row in rest.basis)
+        gens = invert_unimodular(smith_normal_form(coords).right)[rest.rank :]
     new_rows = []
-    stacked = tuple(c.lattice.basis) + tuple(lat_rest.basis)
-    overlap = intersect(lat_rest, c.lattice)
+    stacked = tuple(lattice.basis) + tuple(rest.basis)
+    overlap = intersect(rest, lattice)
     for g in gens:
         ambient = vec_mat(g, lat_all.basis)
         combo = express_in_rows(stacked, ambient)
         if combo is None:
             raise NotAdapted("a quotient generator does not lift to the member")
-        lift = vec_mat(combo[: c.lattice.rank], c.lattice.basis)
+        lift = vec_mat(combo[: lattice.rank], lattice.basis)
         new_rows.append(overlap.reduce(lift)[1])
-    return rows_rest + new_rows
+    # the span is lat_all only when `rest` is saturated in it
+    return tuple(new_rows), Sublattice.from_rows(n, list(rest.basis) + new_rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +184,7 @@ class ChartFunction:
 
     def _at(self, z, values) -> complex:
         """The value at z, given the chart's member character values at z."""
-        return _unit_values((self._flat,), z, values)[0]
+        return _unit_value(self._flat, z, values)
 
 
 @dataclass(eq=False)
@@ -307,7 +328,8 @@ class Chart:
         `BetaTerm`.  The base member, the first peeled, is the largest
         constant member of the character, so every member with a non-zero
         coefficient contains it; dividing each term by the base's monomial
-        leaves the coordinates in `ChartFunction._extra`.
+        leaves the coordinates below the term's member but not below the
+        base, which `ChartFunction._flat` keeps per term.
 
         Exact certificate: each term but the base's has its own member's
         coordinate among those, so the unit's value at the chart origin is
@@ -424,9 +446,10 @@ class Chart:
 
 
 # -- flat evaluation ----------------------------------------------------
-# Every float path of a chart goes through these.  Each product starts at
-# 1 + 0j and multiplies in index order, as when the sweep pins were made:
-# another order changes the last bits.
+# Every float path of a chart goes through these; the verification sweeps
+# run the monomial and power-product loops inline, in one loop per sample.
+# Each product starts at 1 + 0j and multiplies in index order, as when the
+# sweep pins were made: another order changes the last bits.
 
 
 def _sparse(row) -> tuple[tuple[int, int], ...]:
@@ -446,33 +469,31 @@ def _monomials(z, below) -> list[complex]:
 
 
 def _power_products(values, rows) -> list[complex]:
-    """For each row of (index, exponent) pairs, the product of values[i] ** e."""
+    """For each row of (index, exponent) pairs, the product of values[i] ** e
+    (values[i] itself for e == 1, which has the same bits)."""
     out = []
     for row in rows:
         prod = 1 + 0j
         for i, e in row:
-            prod *= values[i] ** e
+            prod *= values[i] if e == 1 else values[i] ** e
         out.append(prod)
     return out
 
 
-def _unit_values(flats, z, values) -> list[complex]:
-    """Unit functions at z from their `ChartFunction._flat` terms, given the
+def _unit_value(flat, z, values) -> complex:
+    """A unit function at z from its `ChartFunction._flat` terms, given the
     member character values at z."""
-    out = []
-    for flat in flats:
-        total = 0j
-        for scale, monomial, roots, extra in flat:
-            term = scale
-            for i, e in monomial:
-                term *= values[i] ** e
-            for i, root in roots:
-                term *= values[i] - root
-            for e in extra:
-                term *= z[e]
-            total += term
-        out.append(total)
-    return out
+    total = 0j
+    for scale, monomial, roots, extra in flat:
+        term = scale
+        for i, e in monomial:
+            term *= values[i] if e == 1 else values[i] ** e
+        for i, root in roots:
+            term *= values[i] - root
+        for e in extra:
+            term *= z[e]
+        total += term
+    return total
 
 
 def _numerators(t, rows, roots) -> list[complex]:
@@ -509,15 +530,22 @@ def build_chart(
     for m in members:
         if through.get(m.mask) != m:
             raise NotNested(f"{m} misses the center {nested_set.center}")
+    # every member passes through the center, where c contains d iff
+    # supp c <= supp d, and a character is constant on c with its value at
+    # the center iff it lies in c's lattice
     if basis_rows is None:
-        basis_rows = adapted_basis_rows(members)
-    phi = nested_set.center.coordinates
+        order = _peel_order(members, lambda c, d: not c.mask & ~d.mask)
+        basis_rows = _peel(order, poset._peels)
     assignment: dict[int, Vector] = {}
     for row in basis_rows:
-        layer = maximal_constant_member(members, phi, row)
-        if layer is None:
+        hits = [i for i, m in enumerate(members) if row in m.lattice]
+        if not hits:
             raise NotAdapted(f"basis vector {list(row)} is constant on no member")
-        idx = members.index(layer)
+        idx = max(hits, key=lambda i: members[i].dim)
+        layer = members[idx]
+        if any(layer.mask & ~members[i].mask for i in hits):
+            chain = [members[i] for i in hits]
+            raise NotNested(f"the layers {chain} do not form a chain")
         if idx in assignment:
             raise NotAdapted(f"two basis vectors are assigned to member {layer}")
         assignment[idx] = tuple(row)
@@ -784,13 +812,28 @@ def _domain_samples(chart: Chart, rng, samples: int):
     """(z, coordinate monomial of each member, member character values,
     torus point) of each of `samples` random chart points whose torus
     coordinates do not vanish."""
-    below, roots, inv, tol = chart.below, chart._roots, chart._basis_inv, chart.tolerance
+    members = tuple(zip(chart.below, chart._roots))
+    inv, tol, rank = chart._basis_inv, chart.tolerance, chart.rank
     for _ in range(samples):
-        z = _sample_point(rng, len(below))
-        monos = _monomials(z, below)
-        values = [m + root for m, root in zip(monos, roots)]
-        if all(abs(v) > tol for v in values):
-            yield z, monos, values, _power_products(values, inv)
+        z = _sample_point(rng, rank)
+        monos, values = [], []
+        for inside, root in members:
+            mono = 1 + 0j
+            for e in inside:
+                mono *= z[e]
+            value = mono + root
+            if abs(value) <= tol:
+                break
+            monos.append(mono)
+            values.append(value)
+        else:
+            t = []
+            for row in inv:
+                x = 1 + 0j
+                for i, e in row:
+                    x *= values[i] if e == 1 else values[i] ** e
+                t.append(x)
+            yield z, monos, values, t
 
 
 def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
@@ -802,12 +845,15 @@ def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
     units = None
     for z, monos, values, t in _domain_samples(chart, rng, samples):
         if units is None:
-            units = chart._support_units()
-            flats = [f._flat for f, _, _ in units]
-            rows = [_sparse(vector) for _, vector, _ in units]
-            bases = [(f.base_member, root) for f, _, root in units]
-        lhs = _unit_values(flats, z, values)
-        for unit, value, (base, root) in zip(lhs, _power_products(t, rows), bases):
+            units = tuple(
+                (f._flat, f.base_member, _sparse(vector), root)
+                for f, vector, root in chart._support_units()
+            )
+        for flat, base, row, root in units:
+            unit = _unit_value(flat, z, values)
+            value = 1 + 0j
+            for i, e in row:
+                value *= t[i] if e == 1 else t[i] ** e
             rel = abs(unit * monos[base] - (value - root)) / (1 + abs(value))
             if rel > worst:
                 worst = rel
@@ -815,16 +861,25 @@ def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
 
 
 def roundtrip_sweep(chart: Chart, rng, samples: int = 100) -> float:
+    """Max relative error of chart -> torus -> chart; samples whose torus
+    point sits on a successor's divisor are skipped."""
     worst = 0.0
-    rows = tuple(map(_sparse, chart.basis))
+    rows = tuple(zip(map(_sparse, chart.basis), chart._roots))
+    succ, tol = chart.succ, chart.tolerance
+    successors = [j for j in succ if j is not None]
     for z, _, _, t in _domain_samples(chart, rng, samples):
-        try:
-            z_back = _to_chart(t, rows, chart._roots, chart.succ, chart.tolerance)
-        except OnDivisor:
+        nums = []
+        for row, root in rows:
+            x = 1 + 0j
+            for i, e in row:
+                x *= t[i] if e == 1 else t[i] ** e
+            nums.append(x - root)
+        if any(abs(nums[j]) <= tol for j in successors):
             continue
-        err = max(abs(a - b) / (1 + abs(a)) for a, b in zip(z, z_back))
-        if err > worst:
-            worst = err
+        for a, x, j in zip(z, nums, succ):
+            err = abs(a - (x if j is None else x / nums[j])) / (1 + abs(a))
+            if err > worst:
+                worst = err
     return worst
 
 

@@ -14,10 +14,13 @@ of building-set members on its own, with `Layer.contains` and
 `is_complete` at each common point, and keep the ones that pass.  The
 intersection-path oracles keep the library's backtracking search but
 take each center and witness flag from the components of an
-intersection, each solved as one torsion system.  The
-expansion oracle is the original residual-vector expansion of a character
-in a chart: it finds each member by an exact `Layer.value_of` scan and
-stops where a residual has no component on its largest constant member.
+intersection, each solved as one torsion system.  The adapted-basis
+oracle is the original recursive peel with no memo, and the
+constant-member oracle finds a character's largest constant member by an
+exact `Layer.value_of` scan.  The expansion oracle is the original
+residual-vector expansion of a character in a chart: it finds each member
+by that scan and stops where a residual has no component on its largest
+constant member.
 The peel-expansion oracle is the library's expansion with its angles as
 `Fraction` sums.  The sweep oracles evaluate the charts one sample, one
 unit function and one term at a time, from the dense inverse basis and
@@ -43,6 +46,7 @@ from toricwonder import (
     Flag,
     Layer,
     NestedSet,
+    NotAdapted,
     NotUnimodular,
     Sublattice,
     WeightedCharacter,
@@ -57,9 +61,19 @@ from toricwonder import (
 )
 from toricwonder.arrangement import _closure
 from toricwonder.nested import _nested_sets
-from toricwonder.charts import BetaTerm, ChartFunction, maximal_constant_member, unit_root
+from toricwonder.arrangement import top_member
+from toricwonder.charts import BetaTerm, ChartFunction, unit_root
 from toricwonder.cli import parse_file
-from toricwonder.lattices import mod1, vec_mat
+from toricwonder.lattices import (
+    express_in_rows,
+    identity_matrix,
+    intersect,
+    invert_unimodular,
+    mod1,
+    pairing,
+    smith_normal_form,
+    vec_mat,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 ARR_FILES = sorted((ROOT / "perfbench" / "families").glob("*.arr")) + sorted(
@@ -517,6 +531,63 @@ def random_arrangement(rng: random.Random, rank=None, count=None) -> Arrangement
             continue
 
 
+def oracle_maximal_constant_member(members, phi, vector):
+    """The largest member on which `vector` is constant with its value at
+    p, by an exact `Layer.value_of` scan of every member; None when there
+    is none, NotNested when those members do not form a chain."""
+    target = pairing(vector, phi)
+    hits = [m for m in members if m.value_of(vector) == target]
+    return top_member(hits) if hits else None
+
+
+def oracle_adapted_basis_rows(members):
+    """The adapted basis as the library first built it, recursively and
+    with no memo: peel the first member, in `Layer.key` order, that
+    contains no other (by `Layer.contains`), take the basis of the rest,
+    then lift quotient generators of the sum of the rest's span and the
+    member's lattice over that span into the member's lattice, each reduced
+    modulo the overlap."""
+    members = sorted(members, key=Layer.key)
+    if not members:
+        return []
+    c = next(
+        m
+        for m in members
+        if not any(o is not m and m.contains(o) for o in members)
+    )
+    rest = [m for m in members if m is not c]
+    rows_rest = oracle_adapted_basis_rows(rest)
+    n = c.lattice.ambient_rank
+    lat_rest = Sublattice.from_rows(n, rows_rest)
+    lat_all = Sublattice.from_rows(n, list(lat_rest.basis) + list(c.lattice.basis))
+    if lat_all.rank == lat_rest.rank:
+        return rows_rest
+    gens = identity_matrix(lat_all.rank)
+    if lat_rest.rank:
+        coords = tuple(lat_all.coords(row) for row in lat_rest.basis)
+        gens = invert_unimodular(smith_normal_form(coords).right)[lat_rest.rank :]
+    new_rows = []
+    stacked = tuple(c.lattice.basis) + tuple(lat_rest.basis)
+    overlap = intersect(lat_rest, c.lattice)
+    for g in gens:
+        ambient = vec_mat(g, lat_all.basis)
+        combo = express_in_rows(stacked, ambient)
+        if combo is None:
+            raise NotAdapted("a quotient generator does not lift to the member")
+        lift = vec_mat(combo[: c.lattice.rank], c.lattice.basis)
+        new_rows.append(overlap.reduce(lift)[1])
+    return rows_rest + new_rows
+
+
+def oracle_chart_basis(members, phi):
+    """`oracle_adapted_basis_rows`, each row assigned to its
+    `oracle_maximal_constant_member`, in member order."""
+    basis = {}
+    for row in oracle_adapted_basis_rows(members):
+        basis[members.index(oracle_maximal_constant_member(members, phi, row))] = row
+    return tuple(basis[i] for i in range(len(members)))
+
+
 def oracle_expand(chart, vector, value):
     """The unit function of a character through the chart center, peeling
     the residual character's largest constant member, found by an exact
@@ -525,7 +596,7 @@ def oracle_expand(chart, vector, value):
     terms, pref, cur, base = [], Fraction(0), tuple(vector), None
     inverse = oracle_inverse(chart.basis)
     while any(cur):
-        layer = maximal_constant_member(chart.members, chart.point_coordinates, cur)
+        layer = oracle_maximal_constant_member(chart.members, chart.point_coordinates, cur)
         c = chart.members.index(layer)
         base = c if base is None else base
         coeffs = vec_mat(cur, inverse)

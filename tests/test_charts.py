@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -30,10 +31,10 @@ from toricwonder import (
     point_layer,
     residual_sweep,
     roundtrip_sweep,
+    saturate,
     transition,
 )
 from toricwonder import charts
-from toricwonder.charts import maximal_constant_member
 from toricwonder.cli import main, parse_file
 from toricwonder.lattices import (
     Sublattice,
@@ -43,8 +44,11 @@ from toricwonder.lattices import (
 )
 from oracles import (
     ARR_FILES,
+    oracle_adapted_basis_rows,
+    oracle_chart_basis,
     oracle_domain_samples,
     oracle_expand,
+    oracle_maximal_constant_member,
     oracle_peel_expand,
     oracle_residual_sweep,
     oracle_roundtrip_sweep,
@@ -52,6 +56,7 @@ from oracles import (
     oracle_unit_terms,
     oracle_unit_value,
     random_arrangement,
+    random_vectors,
     root_system,
 )
 from oracles import oracle_determinant as determinant
@@ -67,6 +72,10 @@ FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "families"
 # TestEveryChartExpands checks those charts against the old expansion with
 # one stream per chart.
 SWEEP_PIN = "e8cf4fe234dee585932a6601d39156e7a175d3758dbc1c7a81c190d1e0675ac3"
+
+# sha256 of the member keys and basis of every chart of the A4, B4 and A5
+# atlases, recorded before build_chart shared its peel steps across charts
+BASIS_PIN = "1b13f5bf7e8e1bdbe0220ca09f53d8a9a1d3cad52b6bccb5d9656dc498f8c4bb"
 
 
 def chart_with(poset, building, point, member_basis, explicit=None):
@@ -94,6 +103,16 @@ def bench_atlases():
 def a4_atlas():
     poset = build_poset(root_system("A", 4))
     return atlas(poset, irreducible_layers(poset))
+
+
+@pytest.fixture(scope="module")
+def root_atlases(a4_atlas):
+    """The atlas of each of A4, B4, C4 and A5, by name."""
+    out = {"A4": a4_atlas}
+    for kind, n in (("B", 4), ("C", 4), ("A", 5)):
+        poset = build_poset(root_system(kind, n))
+        out[f"{kind}{n}"] = atlas(poset, irreducible_layers(poset))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +240,78 @@ class TestAdaptedBasis:
         assert chart.basis in (((1,),), ((-1,),))
 
 
+class TestPeelOracle:
+    """The peel steps shared through the poset against the recursive peel
+    and the exact constant-member scan they replaced."""
+
+    def test_sub_families(self, bench_atlases, a4_atlas):
+        """Every non-empty sub-family of every maximal nested set."""
+        families = set()
+        for fam_atlas in [a for _, a in bench_atlases.values()] + [a4_atlas]:
+            for chart in fam_atlas:
+                for size in range(1, chart.rank + 1):
+                    families.update(
+                        map(frozenset, itertools.combinations(chart.members, size))
+                    )
+        assert len(families) > 1000
+        for family in families:
+            assert adapted_basis_rows(family) == oracle_adapted_basis_rows(family)
+
+    def test_chart_bases(self, bench_atlases, root_atlases):
+        charts_seen = 0
+        for fam_atlas in [a for _, a in bench_atlases.values()] + list(
+            root_atlases.values()
+        ):
+            for chart in fam_atlas:
+                want = oracle_chart_basis(chart.members, chart.point_coordinates)
+                assert chart.basis == want
+                charts_seen += 1
+        assert charts_seen == 407 + 105 + 672 + 1008 + 945
+
+    def test_arbitrary_families(self):
+        """Families of layers through the origin with random saturated
+        lattices, whose sums need not be saturated, each peeled with a fresh
+        memo and with one memo shared by all of them."""
+        rng = random.Random(0)
+        memo, unsaturated = {}, 0
+        for _ in range(300):
+            n = rng.randint(2, 3)
+            family = set()
+            for _ in range(rng.randint(1, 4)):
+                rows = random_vectors(rng, n, rng.randint(1, n))
+                lattice = saturate(Sublattice.from_rows(n, rows))
+                family.add(Layer(lattice, (0,) * lattice.rank))
+            want = oracle_adapted_basis_rows(family)
+            assert adapted_basis_rows(family) == want
+            assert charts._peel(charts._peel_order(family, Layer.contains), memo) == want
+            total = Sublattice.from_rows(n, [r for m in family for r in m.lattice.basis])
+            unsaturated += saturate(total) != total
+        assert unsaturated > 0
+
+    def test_steps_shared_by_the_poset(self, bench_atlases, monkeypatch):
+        """Rebuilding a family's charts takes every peel step from the
+        poset's memo, which holds fewer steps than the charts peel."""
+        fam_atlas = bench_atlases["B3"][1]
+        poset = fam_atlas[0].poset
+        assert 0 < len(poset._peels) < sum(chart.rank for chart in fam_atlas)
+        calls = count_calls(monkeypatch, charts, ["_peel_step"])
+        for chart in fam_atlas:
+            again = build_chart(poset, chart.nested_set)
+            assert (again.members, again.basis) == (chart.members, chart.basis)
+        assert not calls
+
+
+class TestBasisPin:
+    def test_rank_four_and_five_bases(self, root_atlases):
+        """Every chart basis of A4, B4 and A5 is unchanged."""
+        digest = hashlib.sha256()
+        for fam in ("A4", "B4", "A5"):
+            for chart in root_atlases[fam]:
+                keys = [m.key() for m in chart.members]
+                digest.update(f"{keys!r} {chart.basis!r}\n".encode())
+        assert digest.hexdigest() == BASIS_PIN
+
+
 class TestConstantMember:
     def test_on_hypersurface(self, std_chart):
         got = std_chart.constant_member((1, 1))
@@ -254,7 +345,7 @@ class TestChartTables:
                 ]
                 phi = chart.point_coordinates
                 for v in vectors:
-                    want = outcome(maximal_constant_member, chart.members, phi, v)
+                    want = outcome(oracle_maximal_constant_member, chart.members, phi, v)
                     assert outcome(chart.constant_member, v) == want
                     seen[want if want in (None, NotNested) else Layer] += 1
         assert sum(len(a) for _, a in bench_atlases.values()) == 407
