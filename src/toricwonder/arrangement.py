@@ -20,7 +20,6 @@ from .errors import (
     InfiniteIndex,
     NotAPoint,
     NotComplete,
-    NotContained,
     NotNested,
     NotPrimitive,
     ParseError,
@@ -209,21 +208,16 @@ def make_layer(arr: Arrangement, lattice: Sublattice, values) -> Layer:
     return Layer(lattice, values, _support(arr, lattice, values))
 
 
-def _cosets(rows, values) -> list[tuple[Sublattice, tuple[Fraction, ...]]]:
-    """(lattice, values) of each component of {t : t^row = exp(2 pi i value)}."""
+def components(arr: Arrangement, rows, values) -> list[Layer]:
+    """The connected components of {t : t^row = exp(2 pi i value)}."""
     sol = solve_torsion_system(rows, values)
     if sol is None:
         return []
     lattice = sol.smith.row_saturation
     return [
-        (lattice, tuple(pairing(row, phi) for row in lattice.basis))
+        make_layer(arr, lattice, tuple(pairing(row, phi) for row in lattice.basis))
         for phi in sol.representatives
     ]
-
-
-def components(arr: Arrangement, rows, values) -> list[Layer]:
-    """The connected components of {t : t^row = exp(2 pi i value)}."""
-    return [make_layer(arr, *coset) for coset in _cosets(rows, values)]
 
 
 def layer_components(arr: Arrangement, subset) -> list[Layer]:
@@ -243,7 +237,6 @@ class LayerPoset:
     layers: tuple[Layer, ...]
     ids: dict = field(init=False, repr=False, compare=False)
     _flats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _closures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the adapted-basis peel steps of `charts.build_chart`, shared by every chart
     _peels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -262,16 +255,6 @@ class LayerPoset:
                 if l.passes_through(p):
                     table[l.mask] = l
             return self._flats.setdefault(p, table)
-
-    def closure(self, p: Layer, mask: int) -> int:
-        """The smallest flat at `p` holding `mask`: flats are closed under
-        intersection, so it is the first in rank order to hold `mask`."""
-        if (p, mask) not in self._closures:
-            flat = next((f for f in self.flats_at(p) if not mask & ~f), None)
-            if flat is None:
-                raise NotContained(f"no layer through {p} has support {mask:#b}")
-            self._closures[p, mask] = flat
-        return self._closures[p, mask]
 
     @cached_property
     def torus(self) -> Layer:

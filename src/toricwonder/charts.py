@@ -57,14 +57,20 @@ def unit_root(angle: Fraction) -> complex:
 def adapted_basis_rows(members) -> list[Vector]:
     """An integral basis adapted to a nested set, by peeling minimal members.
 
-    Returns a basis of the sum of the members' saturated lattices; for a
+    Returns a basis of the sum of the members' saturated lattices, or
+    raises NotAdapted, as for some families that are not nested; for a
     maximal nested set that sum is the whole of Z^n.  The members are
     peeled in `_peel_order`; each step's rows depend only on the peeled
     member's lattice and on the lattice spanned by the rows of the members
     peeled after it (`_peel_step`), so that pair keys the step in a memo.
     Here the memo is fresh; `build_chart` shares one per poset.
     """
-    return _peel(_peel_order(members, Layer.contains), {})
+    order = _peel_order(members, Layer.contains)
+    rows = _peel(order, {})
+    total = [r for m in order for r in m.lattice.basis]
+    if hermite_basis(rows) != hermite_basis(total):
+        raise NotAdapted("the rows do not span the sum of the members' lattices")
+    return rows
 
 
 def _peel_order(members, contains) -> list[Layer]:
@@ -187,6 +193,20 @@ class ChartFunction:
         return _unit_value(self._flat, z, values)
 
 
+def _chain_top(members, indices) -> int | None:
+    """The index among `indices` of the largest of `members`, all through
+    one point, or None; raises NotNested, like `top_member`, unless they
+    form a chain: through a point, c contains d iff supp c <= supp d."""
+    if not indices:
+        return None
+    top = max(indices, key=lambda i: members[i].dim)
+    if any(members[top].mask & ~members[i].mask for i in indices):
+        raise NotNested(
+            f"the layers {[members[i] for i in indices]} do not form a chain"
+        )
+    return top
+
+
 @dataclass(eq=False)
 class Chart:
     """A chart of the model attached to a maximal nested set."""
@@ -204,12 +224,14 @@ class Chart:
     # row j of the inverse basis as (member, exponent) pairs: the exponents of
     # the member character values in torus coordinate j
     _basis_inv: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
+    _basis_sparse: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
     _functions: dict = field(init=False, default_factory=dict)
     _units: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         # first, so that a basis that is not unimodular fails before any other check
         self._basis_inv = tuple(map(_sparse, invert_unimodular(self.basis)))
+        self._basis_sparse = tuple(map(_sparse, self.basis))
         phi = self.point_coordinates
         self.constants = tuple(pairing(row, phi) for row in self.basis)
         self._roots = tuple(unit_root(a) for a in self.constants)
@@ -223,21 +245,9 @@ class Chart:
             for i in range(self.rank)
         )
         self.succ = tuple(
-            self._top([j for j in inside if j != i])
+            _chain_top(self.members, [j for j in inside if j != i])
             for i, inside in enumerate(self.below)
         )
-
-    def _top(self, indices) -> int | None:
-        """The member of largest dimension among `indices`, None if there are
-        none; like `top_member`, raises NotNested unless they form a chain."""
-        if not indices:
-            return None
-        top = max(indices, key=lambda i: self.members[i].dim)
-        if not set(indices).issubset(self.below[top]):
-            raise NotNested(
-                f"the layers {[self.members[i] for i in indices]} do not form a chain"
-            )
-        return top
 
     @property
     def center(self) -> Layer:
@@ -250,9 +260,6 @@ class Chart:
     @property
     def rank(self) -> int:
         return len(self.members)
-
-    def index_of(self, member: Layer) -> int:
-        return self.members.index(member)
 
     # -- coordinate maps ------------------------------------------------
 
@@ -268,7 +275,7 @@ class Chart:
 
     def chart_to_torus(self, z) -> tuple[complex, ...]:
         values = self.member_character_values(z)
-        if any(abs(v) <= self.tolerance for v in values):
+        if not self._in_domain(values):
             raise OutsideDomain("a torus coordinate would vanish")
         return self._to_torus(values)
 
@@ -280,8 +287,7 @@ class Chart:
         return _power_products(t, (_sparse(vector),))[0]
 
     def torus_to_chart(self, t) -> tuple[complex, ...]:
-        rows = tuple(map(_sparse, self.basis))
-        return _to_chart(t, rows, self._roots, self.succ, self.tolerance)
+        return _to_chart(t, self._basis_sparse, self._roots, self.succ, self.tolerance)
 
     # -- the unit functions --------------------------------------------
 
@@ -306,9 +312,8 @@ class Chart:
         the members whose `_above` covers the coefficient support; all of
         them hold the center, so the constant is the value at p."""
         support = {j for j, x in enumerate(coeffs) if x}
-        return self._top(
-            [i for i, up in enumerate(self._above) if support.issubset(up)]
-        )
+        inside = [i for i, up in enumerate(self._above) if support.issubset(up)]
+        return _chain_top(self.members, inside)
 
     def character_unit(self, vector, value: Fraction) -> ChartFunction:
         key = (tuple(vector), mod1(Fraction(value)))
@@ -416,7 +421,7 @@ class Chart:
     def in_chart(self, z) -> bool:
         """True iff z lies in the open chart domain of the model."""
         values = self.member_character_values(z)
-        if any(abs(v) <= self.tolerance for v in values):
+        if not self._in_domain(values):
             return False
         t = self._to_torus(values)
         for rows, roots in self._far_layers:
@@ -541,13 +546,9 @@ def build_chart(
         hits = [i for i, m in enumerate(members) if row in m.lattice]
         if not hits:
             raise NotAdapted(f"basis vector {list(row)} is constant on no member")
-        idx = max(hits, key=lambda i: members[i].dim)
-        layer = members[idx]
-        if any(layer.mask & ~members[i].mask for i in hits):
-            chain = [members[i] for i in hits]
-            raise NotNested(f"the layers {chain} do not form a chain")
+        idx = _chain_top(members, hits)
         if idx in assignment:
-            raise NotAdapted(f"two basis vectors are assigned to member {layer}")
+            raise NotAdapted(f"two basis vectors are assigned to member {members[idx]}")
         assignment[idx] = tuple(row)
     if len(assignment) != len(members):
         raise NotAdapted(
@@ -613,7 +614,7 @@ def transition(source: Chart, target: Chart, z) -> tuple[tuple[complex, ...], Tr
 def _transition_on_divisor(source, target, z, t):
     """Successor ratios computed through the source chart's unit functions."""
     phi = source.point_coordinates
-    nums = _numerators(t, tuple(map(_sparse, target.basis)), target._roots)
+    nums = _numerators(t, target._basis_sparse, target._roots)
     out = []
     for i, j in enumerate(target.succ):
         if j is None:
@@ -864,7 +865,7 @@ def roundtrip_sweep(chart: Chart, rng, samples: int = 100) -> float:
     """Max relative error of chart -> torus -> chart; samples whose torus
     point sits on a successor's divisor are skipped."""
     worst = 0.0
-    rows = tuple(zip(map(_sparse, chart.basis), chart._roots))
+    rows = tuple(zip(chart._basis_sparse, chart._roots))
     succ, tol = chart.succ, chart.tolerance
     successors = [j for j in succ if j is not None]
     for z, _, _, t in _domain_samples(chart, rng, samples):

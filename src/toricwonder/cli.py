@@ -21,7 +21,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import InvalidGerm, ParseError, ToricError
+from .errors import ParseError, ToricError
 from .arrangement import (
     Arrangement,
     WeightedCharacter,
@@ -267,9 +267,10 @@ def cmd_nested(poset, args):
         for p in points:
             for ns in enumerate_maximal(poset, p, building):
                 total += 1
-                ids = ", ".join(_lid(poset, m) for m in ns.members)
-                lines.append(f"  {{{ids}}} center={_lid(poset, p)}")
-                doc["maximal"].append(_nested_doc(poset, ns))
+                entry = _nested_doc(poset, ns)
+                ids = ", ".join(entry["members"])
+                lines.append(f"  {{{ids}}} center={entry['center']}")
+                doc["maximal"].append(entry)
         lines.insert(0, f"maximal nested sets ({total}):")
     else:
         members = building.members
@@ -291,21 +292,16 @@ def cmd_charts(poset, args):
     lines = [f"atlas ({len(charts)} charts):"]
     doc = []
     for k, chart in enumerate(charts):
-        ids = ", ".join(_lid(poset, m) for m in chart.members)
-        lines.append(f"  chart {k}: members={{{ids}}} center={_lid(poset, chart.center)}")
-        for i, m in enumerate(chart.members):
-            lines.append(
-                f"    {_lid(poset, m)}: basis={fmt_vec(chart.basis[i])} "
-                f"constant={fmt_frac(chart.constants[i])}"
-            )
-        doc.append(
-            {
-                "members": [_lid(poset, m) for m in chart.members],
-                "center": _lid(poset, chart.center),
-                "basis": [list(r) for r in chart.basis],
-                "constants": [str(a) for a in chart.constants],
-            }
-        )
+        entry = {
+            **_nested_doc(poset, chart.nested_set),
+            "basis": [list(r) for r in chart.basis],
+            "constants": [str(a) for a in chart.constants],
+        }
+        doc.append(entry)
+        ids = ", ".join(entry["members"])
+        lines.append(f"  chart {k}: members={{{ids}}} center={entry['center']}")
+        for lid, row, a in zip(entry["members"], chart.basis, chart.constants):
+            lines.append(f"    {lid}: basis={fmt_vec(row)} constant={fmt_frac(a)}")
     status = 0
     verify_doc = None
     if args.verify:
@@ -361,19 +357,15 @@ def cmd_curve(poset, args):
     germ = CurveGerm(p, tuple(jets))
     building = irreducible_layers(poset)
     chart, z_limit = chart_for_curve(poset, building, germ, tolerance=args.tolerance)
-    ids = ", ".join(_lid(poset, m) for m in chart.members)
-    lines = [f"limit chart: members={{{ids}}} center={_lid(poset, chart.center)}"]
-    for i, m in enumerate(chart.members):
-        lines.append(
-            f"  {_lid(poset, m)}: basis={fmt_vec(chart.basis[i])} "
-            f"z_limit={fmt_complex(z_limit[i])}"
-        )
     doc = {
-        "members": [_lid(poset, m) for m in chart.members],
-        "center": _lid(poset, chart.center),
+        **_nested_doc(poset, chart.nested_set),
         "basis": [list(r) for r in chart.basis],
         "z_limit": [[z.real, z.imag] for z in z_limit],
     }
+    ids = ", ".join(doc["members"])
+    lines = [f"limit chart: members={{{ids}}} center={doc['center']}"]
+    for lid, row, z in zip(doc["members"], chart.basis, z_limit):
+        lines.append(f"  {lid}: basis={fmt_vec(row)} z_limit={fmt_complex(z)}")
     return lines, doc, 0
 
 

@@ -9,6 +9,8 @@ the irreducible pieces underlying the building set of layers.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -169,10 +171,6 @@ class _Local:
         self.index = {m: k for k, m in enumerate(self.members)}
         self._parts: dict[int, frozenset[int]] = {}
 
-    def is_flat(self, poset: LayerPoset, mask: int) -> bool:
-        """Whether the characters in `mask` are closed under rational span at p."""
-        return mask in poset.flats_at(self.point)
-
     def decomposition(self, flat: int) -> frozenset[int]:
         """Masks of the maximal members whose support lies in the flat."""
         if flat not in self._parts:
@@ -200,14 +198,6 @@ class BuildingSet:
     def members_through(self, p: Layer) -> list[Layer]:
         return list(self._at(p).members)
 
-    def decomposition_of(self, p: Layer, flat) -> set[tuple[int, ...]]:
-        """Supports of the maximal members through `p` whose support lies in `flat`."""
-        mask = sum(1 << i for i in set(flat))
-        return {
-            tuple(i for i in range(s.bit_length()) if s >> i & 1)
-            for s in self._at(p).decomposition(mask)
-        }
-
     def __contains__(self, layer: Layer) -> bool:
         return layer in self.members
 
@@ -224,29 +214,29 @@ def irreducible_layers(poset: LayerPoset) -> BuildingSet:
 
 
 def custom_building_set(poset: LayerPoset, members) -> BuildingSet:
-    """A user-chosen building set; the defining property is validated."""
-    arr = poset.arrangement
+    """A user-chosen building set; the defining property is validated: at
+    each point, the parts of each flat partition it, and the parts' lattices,
+    the saturated spans of their supports, direct-sum to the flat's."""
     members = tuple(sorted(set(members), key=Layer.key))
     for m in members:
         if m not in poset:
             raise NotInPoset(f"{m} is not a layer of the arrangement")
     bs = BuildingSet(members, "custom")
     for p in poset.points:
-        for layer in poset.flats_at(p).values():
-            flat = layer.support
-            if not flat:
+        table, local = poset.flats_at(p), bs._at(p)
+        for mask, layer in table.items():
+            if not mask:
                 continue
-            blocks = bs.decomposition_of(p, flat)
-            flat_vectors = [arr.characters[i].vector for i in flat]
-            pos = {i: k for k, i in enumerate(flat)}
-            if sorted(i for b in blocks for i in b) != sorted(flat):
+            parts = local.decomposition(mask)
+            # masks are disjoint iff their sum is their union
+            if not sum(parts) == functools.reduce(operator.or_, parts, 0) == mask:
                 raise InvalidBuildingSet(
-                    f"flat {flat} at point {p.values} is not covered"
+                    f"flat {layer.support} at point {p.values} is not covered"
                 )
-            index_blocks = tuple(tuple(pos[i] for i in b) for b in blocks)
-            if not is_integral_decomposition(flat_vectors, index_blocks):
+            sats = [table[s].lattice for s in parts]
+            if not _sums_to_saturation(sats, layer.lattice.rank):
                 raise InvalidBuildingSet(
-                    f"flat {flat} at point {p.values} is not decomposed"
+                    f"flat {layer.support} at point {p.values} is not decomposed"
                 )
     return bs
 

@@ -100,7 +100,9 @@ def _extends(local, poset, chosen, x) -> bool:
             if all(a & ~b and b & ~a for a, b in itertools.combinations(combo, 2)):
                 union = functools.reduce(operator.or_, combo, mx)
                 parts = {mx, *combo}
-                if not local.is_flat(poset, union) or local.decomposition(union) != parts:
+                # the flat table is made on the first antichain at the point
+                flat = union in poset.flats_at(local.point)
+                if not flat or local.decomposition(union) != parts:
                     return False
     return True
 
@@ -152,12 +154,14 @@ def _connected(members, component: Layer) -> bool:
 
 
 def _witness_flag(members, poset: LayerPoset, p: Layer) -> Flag:
+    """The components through `p`, maybe one of several, of the intersections
+    left as minimal members are peeled off a family nested at p.  Each union
+    of supports is an antichain's or one member's, a flat at p (`_extends`)."""
     remaining = list(members)
     chain = []
     while remaining:
-        # the component through p of the intersection, maybe one of several
         union = functools.reduce(operator.or_, (m.mask for m in remaining))
-        layer = poset.flats_at(p)[poset.closure(p, union)]
+        layer = poset.flats_at(p)[union]
         if not chain or chain[-1] != layer:
             chain.append(layer)
         # keep the members holding another: through p, o lies in m iff supp m <= supp o
@@ -193,10 +197,10 @@ def enumerate_maximal(
     for chosen in _nested_sets(local, poset, range(len(local.members)), n):
         if len(chosen) < n:
             continue
-        # the center is p iff the supports close to p's and it is connected
+        # the center is p iff the flat of the supports is p's and it is connected
         union = functools.reduce(operator.or_, (local.masks[k] for k in chosen))
         combo = [local.members[k] for k in chosen]
-        if poset.closure(p, union) != p.mask or not _connected(combo, p):
+        if union != p.mask or not _connected(combo, p):
             continue
         members = tuple(sorted(combo, key=Layer.key))
         out.append(NestedSet(members, p, _witness_flag(members, poset, p)))

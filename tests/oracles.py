@@ -30,6 +30,9 @@ eliminations, independent of the library's integer Hermite form.  The
 pairing oracle sums `Fraction` products, independent of the library's
 integer numerators.  The characteristic-polynomial oracle is the subset
 sum over all 2^m character subsets, each solved as one torsion system.
+The building-set oracle checks each flat at each point on the support
+tuples of its maximal members with `is_integral_decomposition`, which
+saturates every block again.
 """
 
 import cmath
@@ -54,6 +57,7 @@ from toricwonder import (
     factors,
     intersection_components,
     is_complete,
+    is_integral_decomposition,
     layer_components,
     localized,
     normalize,
@@ -296,6 +300,31 @@ def oracle_irreducible_layers(poset):
         if len(finest) == 1:
             members.append(layer)
     return members
+
+
+def oracle_building_set_error(poset, members):
+    """The message `custom_building_set` raises for `members`, or None.
+
+    At each point p, in poset order, each layer through p gives a flat, its
+    support.  The supports of the maximal members through p inside it, as
+    character tuples, must cover it without overlap and be an integral
+    decomposition of its vectors (`is_integral_decomposition`).
+    """
+    chars = poset.arrangement.characters
+    for p in poset.points:
+        through = [m.support for m in members if m.contains(p)]
+        for flat in (l.support for l in poset.layers if l.contains(p)):
+            inside = [s for s in through if set(s) <= set(flat)]
+            blocks = {s for s in inside if not any(set(s) < set(t) for t in inside)}
+            if sorted(i for b in blocks for i in b) != sorted(flat):
+                return f"flat {flat} at point {p.values} is not covered"
+            pos = {i: k for k, i in enumerate(flat)}
+            vectors = [chars[i].vector for i in flat]
+            if not is_integral_decomposition(
+                vectors, [[pos[i] for i in b] for b in blocks]
+            ):
+                return f"flat {flat} at point {p.values} is not decomposed"
+    return None
 
 
 def oracle_complete_subsets(arr, p):

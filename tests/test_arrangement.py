@@ -9,7 +9,6 @@ from toricwonder import (
     InfiniteIndex,
     Layer,
     NotComplete,
-    NotContained,
     NotPrimitive,
     Sublattice,
     WeightedCharacter,
@@ -24,7 +23,6 @@ from toricwonder import (
     point_layer,
 )
 from toricwonder import arrangement, lattices
-from toricwonder.arrangement import _closure
 from oracles import (
     ARR_FILES,
     ORACLE_CASES,
@@ -343,8 +341,8 @@ def _mask(subset):
 
 
 class TestFlatTable:
-    """`LayerPoset.flats_at` and `closure` against the flats grown by
-    closure, the subset scan and the layer built from each flat."""
+    """`LayerPoset.flats_at` against the flats grown by closure, the
+    subset scan and the layer built from each flat."""
 
     @pytest.mark.parametrize("case", ORACLE_CASES + RANK_FOUR_CASES)
     def test_matches_flats_and_layers(self, case):
@@ -360,25 +358,11 @@ class TestFlatTable:
                 assert layer.key() == layer_from_complete_set(arr, p, flat).key()
                 assert layer is poset.layers[poset.ids[layer]]
             assert poset.flats_at(p) is table
-            # the subset scan is 2^k closures, and the closure of each flat
-            # plus each character k span tests; B4 and C4 have 16 characters
-            # through the origin, where both are left out
-            ground = localized(arr, p)
-            if len(ground) > 12:
+            # the subset scan is 2^k closures; B4 and C4 have 16 characters
+            # through the origin, where it is left out
+            if len(localized(arr, p)) > 12:
                 continue
             assert set(table) == {_mask(f) for f in oracle_complete_subsets(arr, p)}
-            for flat in flats:
-                for i in ground:
-                    grown = _closure(arr, ground, tuple(sorted({*flat, i})))
-                    assert poset.closure(p, _mask(flat) | 1 << i) == _mask(grown)
-
-    def test_closure_outside_the_point(self, two_lines):
-        arr, poset, _ = two_lines
-        p = point_layer(arr, (0, 0))
-        assert poset.closure(p, 0) == 0
-        assert poset.closure(p, 0b11) == p.mask == 0b11
-        with pytest.raises(NotContained):
-            poset.closure(p, 0b100)
 
 
 class TestLayerFromCompleteSet:

@@ -271,9 +271,11 @@ class TestPeelOracle:
     def test_arbitrary_families(self):
         """Families of layers through the origin with random saturated
         lattices, whose sums need not be saturated, each peeled with a fresh
-        memo and with one memo shared by all of them."""
+        memo and with one memo shared by all of them.  The public function
+        returns the oracle's rows where they span the sum of the lattices
+        and raises NotAdapted where they do not; both kinds occur."""
         rng = random.Random(0)
-        memo, unsaturated = {}, 0
+        memo, unsaturated, spanning, short = {}, 0, 0, 0
         for _ in range(300):
             n = rng.randint(2, 3)
             family = set()
@@ -282,11 +284,34 @@ class TestPeelOracle:
                 lattice = saturate(Sublattice.from_rows(n, rows))
                 family.add(Layer(lattice, (0,) * lattice.rank))
             want = oracle_adapted_basis_rows(family)
-            assert adapted_basis_rows(family) == want
             assert charts._peel(charts._peel_order(family, Layer.contains), memo) == want
             total = Sublattice.from_rows(n, [r for m in family for r in m.lattice.basis])
             unsaturated += saturate(total) != total
-        assert unsaturated > 0
+            if Sublattice.from_rows(n, want) == total:
+                spanning += 1
+                assert adapted_basis_rows(family) == want
+            else:
+                short += 1
+                with pytest.raises(NotAdapted):
+                    adapted_basis_rows(family)
+        assert unsaturated > 0 and spanning > 0 and short > 0
+
+    def test_rows_short_of_the_sum(self):
+        """Through the origin, span{(2, -2, -1)}, Z^3 and span{(1, 2, 1)} sum
+        to Z^3, but their peel gives rows of index 3 in it: no basis."""
+        family = [
+            Layer(lattice, (0,) * lattice.rank)
+            for lattice in (
+                Sublattice.from_rows(3, [(2, -2, -1)]),
+                Sublattice.full(3),
+                Sublattice.from_rows(3, [(1, 2, 1)]),
+            )
+        ]
+        rows = oracle_adapted_basis_rows(family)
+        assert rows == [(2, -2, -1), (1, 2, 1), (0, 1, 0)]
+        assert abs(determinant(rows)) == 3
+        with pytest.raises(NotAdapted, match="do not span"):
+            adapted_basis_rows(family)
 
     def test_steps_shared_by_the_poset(self, bench_atlases, monkeypatch):
         """Rebuilding a family's charts takes every peel step from the

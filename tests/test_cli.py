@@ -26,8 +26,9 @@ char = [1, -1] ; 0
 """
 
 
-# the m = 12 families of the `poset` bench, as perfbench/families.py writes
-# them, so that tier-1 pins their reports on its own
+# the m = 12 families of the `poset` bench and the rank-3 root systems A3
+# and B3 of the `atlas` bench, as perfbench/families.py writes them, so that
+# tier-1 pins their reports on its own
 FAMILIES = {
     "C3": """\
 name = C3
@@ -73,6 +74,29 @@ char = [3, 1] ; 0
 char = [3, 1] ; 1/3
 char = [3, 2] ; 0
 char = [3, 2] ; 1/3
+""",
+    "A3": """\
+name = A3
+rank = 3
+char = [1, 0, 0] ; 0
+char = [1, 1, 0] ; 0
+char = [1, 1, 1] ; 0
+char = [0, 1, 0] ; 0
+char = [0, 1, 1] ; 0
+char = [0, 0, 1] ; 0
+""",
+    "B3": """\
+name = B3
+rank = 3
+char = [1, 0, 0] ; 0
+char = [0, 1, 0] ; 0
+char = [0, 0, 1] ; 0
+char = [1, 1, 0] ; 0
+char = [1, -1, 0] ; 0
+char = [1, 0, 1] ; 0
+char = [1, 0, -1] ; 0
+char = [0, 1, 1] ; 0
+char = [0, 1, -1] ; 0
 """,
 }
 
@@ -265,6 +289,19 @@ GOLDEN = [
     ("G2_tors", "points --json", "98b58eb362c931d62b3dc92d7ed0b8d6d4fcea651035dc38ded6c51bd82b43e9"),
     ("G2_tors", "irreducible", "b5017a8424ec2225c1b926c61f2e4c34bb29d51c26c23d2677abfcca052ddf66"),
     ("G2_tors", "irreducible --json", "a876608f9ad46a5458678900a7a92d90fc1dc0964fea8da3b5fd23bfa261780d"),
+    # the rank-3 root systems through the witness, center and chart paths
+    ("A3", "nested --max", "d7c57a7ec321fbe28a8a9dee8d3270f29a21995445275cc973b36e068e42e798"),
+    ("A3", "nested --max --json", "ac9fae7e6c676fb7b6379a2be954ac698c3f5927e3bfafe8b35b98e40f0e024f"),
+    ("A3", "charts --verify --seed 42", "e6cb2713d06ada66e1a29726c963ab04be1e0cd925be5df5d4dbff756e1d6cdb"),
+    ("A3", "charts --verify --seed 42 --json", "36d26878386eb6808595ea1280f72b49c81004a1c8d1f04a3a95c39143185e52"),
+    ("B3", "nested --max", "f479e360ac8b67ddb43df96b5f9d160f7a28db7fc420cb29864356f5a532484b"),
+    ("B3", "nested --max --json", "4e564197988362245dae5efcecd29f1c981786eebeb173fa9d9c0923f55447fd"),
+    ("B3", "charts --verify --seed 42", "18f52d9ad0791dc198ada8110a0485c7a279ef315fe134cb0685ea66d6d8dc1b"),
+    ("B3", "charts --verify --seed 42 --json", "406237a10b8f3c40135dc384619137e954894deff9d2c086b7a30f9ead4307f4"),
+    ("C3", "nested --max", "03204758ab3ca721080f1261ce13623e75034b330ce38e983246d7fd86d402cf"),
+    ("C3", "nested --max --json", "6f6aa84bac9fa25f5803474d6d7929bbd8dc8cf123b7f45244ba835f8f667d00"),
+    ("C3", "charts --verify --seed 42", "0098b8c2f093c6c02c722899a324c4c57a4cde36a1d683f5281a655d75397fa1"),
+    ("C3", "charts --verify --seed 42 --json", "9a03ea3abbde1027cadd6c5bbb9aa04c1ce28564e55685eb67d8da649e74ff89"),
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,11 @@ from toricwonder import (
 )
 from toricwonder import decomposition, lattices
 from oracles import (
+    ARR_FILES,
     ORACLE_CASES,
     RANK_FOUR_CASES,
     case_arrangement,
+    oracle_building_set_error,
     oracle_connected_components,
     oracle_finest,
     oracle_irreducible_layers,
@@ -319,6 +322,48 @@ class TestBuildingSets:
         foreign = next(l for l in poset23.layers if l not in poset32)
         with pytest.raises(NotInPoset):
             custom_building_set(poset32, [foreign])
+
+
+class TestCustomBuildingSetOracle:
+    """`custom_building_set`, which checks masks and member lattices,
+    against the support tuples and block saturations of the oracle."""
+
+    def _check(self, poset, family):
+        expected = oracle_building_set_error(poset, family)
+        if expected is None:
+            custom_building_set(poset, family)
+            return "accepted"
+        with pytest.raises(InvalidBuildingSet) as exc:
+            custom_building_set(poset, family)
+        assert str(exc.value) == expected
+        return expected.rsplit(" is ", 1)[1]
+
+    def test_two_lines(self, two_lines):
+        _, poset, _ = two_lines
+        lines = [l for l in poset.layers if l.dim == 1]
+        points = [l for l in poset.layers if l.dim == 0]
+        # the lines meet with index 2 at each of the two points
+        assert self._check(poset, lines) == "not decomposed"
+        assert self._check(poset, points) == "not covered"
+        assert self._check(poset, lines + points) == "accepted"
+
+    def test_seeded_families(self):
+        """Irreducible building sets with members dropped and other layers
+        added at random, on the bench and example files and A4."""
+        outcomes = Counter()
+        for k, arr in enumerate(
+            [case_arrangement(path) for path in ARR_FILES] + [root_system("A", 4)]
+        ):
+            poset = build_poset(arr)
+            building = irreducible_layers(poset).members
+            others = [l for l in poset.layers if l not in building]
+            rng = random.Random(k)
+            for _ in range(40):
+                drop, add = rng.choice((0, 0.1, 0.3)), rng.choice((0, 0.05, 0.2))
+                family = [m for m in building if rng.random() >= drop]
+                family += [l for l in others if rng.random() < add]
+                outcomes[self._check(poset, family)] += 1
+        assert set(outcomes) == {"accepted", "not covered", "not decomposed"}
 
 
 class TestFactors:

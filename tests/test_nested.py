@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -324,7 +326,18 @@ class TestIntersectionPath:
         building = irreducible_layers(poset)
         for p in poset.points:
             expected = oracle_enumerate_maximal(poset, p, building)
-            assert _shape(enumerate_maximal(poset, p, building)) == _shape(expected)
+            found = enumerate_maximal(poset, p, building)
+            assert _shape(found) == _shape(expected)
+            # the union of a nested family's supports is a flat at p, which
+            # the center check and the witness read from the flat table
+            table, local = poset.flats_at(p), building._at(p)
+            for chosen in _nested_sets(local, poset, range(len(local.members))):
+                masks = (local.masks[k] for k in chosen)
+                assert functools.reduce(operator.or_, masks, 0) in table
+            for ns in found:
+                union = functools.reduce(operator.or_, (m.mask for m in ns.members))
+                assert union in table
+                assert ns.witness.chain[0] is table[union]
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_center_and_witness_match(self, case):
