@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     EmptySubset,
@@ -29,14 +29,13 @@ from .lattices import (
     Matrix,
     Sublattice,
     Vector,
-    express_in_rows,
+    column_reduction,
     identity_matrix,
-    invert_unimodular,
     is_primitive,
+    mat_mul,
     mod1,
     pairing,
     saturate,
-    smith_normal_form,
     solve_torsion_system,
     vec_mat,
 )
@@ -289,90 +288,106 @@ class LayerPoset:
         return layer in self.ids
 
 
-def _frame(lattice: Sublattice) -> tuple[Matrix, Matrix]:
-    """(K, C) for a saturated `lattice` of rank r in Z^n.
-
-    The n - r rows of K are a basis of the integer vectors orthogonal to
-    the lattice, so t -> phi + t K, t in (R/Z)^(n-r), parametrizes the
-    layer through any of its points phi.  The rows of C satisfy C K^T = I.
-    One Smith form U B V = D of the basis B gives both: B V is zero past
-    column r, so K is V's columns past r, and C is V^-1's rows past r.
-    """
-    if lattice.rank == 0:
-        eye = identity_matrix(lattice.ambient_rank)
-        return eye, eye
-    right = smith_normal_form(lattice.basis).right
-    kernel = tuple(zip(*right))[lattice.rank :]
-    return kernel, invert_unimodular(right)[lattice.rank :]
-
-
 def build_poset(arr: Arrangement) -> LayerPoset:
     """All layers: the ambient torus closed under intersection with the
     hypersurfaces.
 
     For each i in A, a component of X_A is a component of L cap H_i, where
     L is the component of X_{A - i} holding it.  The walk starts from the
-    ambient torus (lattice 0, frame the identity), which is not a layer,
-    and carries each layer L with one of its points phi.  Each popped L
-    is cut in its own frame (K, C) (`_frame`), one Smith form per layer:
+    ambient torus (lattice 0), which is not a layer, and carries each
+    layer L of rank r with one of its points phi (integer numerators over
+    one denominator), a frame (K, C) and every chi in A restricted to
+    a = chi K^T.  The n - r rows of K are a basis of the integer vectors
+    orthogonal to L's lattice, so t -> phi + t K parametrizes L, and
+    C K^T = I.
 
-    - On L = phi + t K, the character chi of H_i = {chi = c} takes the
-      value chi(phi) + a t with a = chi K^T an integer vector.  If a = 0,
-      chi is constant on L, and H_i contains L or misses it.
+    - On L, chi takes the value chi(phi) + a t.  If a = 0, chi is constant
+      on L, and H_i = {chi = c} contains L or misses it.
     - Otherwise let g = +-gcd(a), signed so that the first non-zero entry
-      of the primitive a' = a / g is positive.  L cap H_i is
-      {t : g (a' t) = c - chi(phi) mod 1}: the |g| disjoint translates
-      a' t = (c - chi(phi) + j) / g, j = 0 .. |g| - 1, of the subtorus
-      a' t = 0, which is connected because a' is primitive.  With u an
-      integer vector with a' u = 1, the j-th holds the point
-      phi + ((c - chi(phi) + j) / g) u K.
-    - A character mu is constant on such a translate iff mu K^T lies in
-      Z a' (the integer multiples, as a' is primitive).  Then
-      (mu - k a' C) K^T = 0, so mu - k a' C lies in L's lattice, which is
-      saturated.  So the new lattice, all characters constant on the
-      translate, is L's lattice plus Z a' C, saturated with no further
-      work, and the new values are read off at the translate's point.
+      of the primitive a' = a / g is positive.  L cap H_i is the |g|
+      disjoint translates a' t = (c - chi(phi) + j) / g, j = 0 .. |g| - 1,
+      of the subtorus a' t = 0, connected as a' is primitive.  The
+      characters whose a' agree up to sign cut L along the same subtori;
+      besides L's support, only they can contain the new layers.
+    - `column_reduction` gives V unimodular with a' V = e_1, and W = V^-1,
+      whose first row is a'.  With u = V[:, 0], a' u = 1, so the j-th
+      translate holds the point phi + ((c - chi(phi) + j) / g) u K.
+    - A character mu is constant on a translate iff mu K^T lies in Z a'.
+      Then (mu - k a' C) K^T = 0, so mu - k a' C lies in L's lattice,
+      which is saturated.  So the new lattice is L's lattice plus
+      Z a' C = Z W[0] C, saturated with no further work; one Hermite form
+      per (layer, a') makes its canonical basis.
+    - The t with a' t = 0 are spanned by V[:, 1:], so the new layers of
+      one cut share the frame K' = V[:, 1:]^T K and C' = W[1:] C, for
+      C' K'^T = W[1:] V[:, 1:] = I, and the restricted characters
+      a_chi V[:, 1:].
     """
     n = arr.rank
-    found = set()
-    work = [(Layer(Sublattice.zero(n), ()), (Fraction(0),) * n)]
+    eye = identity_matrix(n)
+    # each layer by its lattice basis and its values as integer numerators
+    # over their least common denominator
+    found: dict = {}
+    # (layer, point numerators, their denominator, K, C, a_chi for each chi)
+    work = [(Layer(Sublattice.zero(n), ()), (0,) * n, 1, eye, eye, arr.vectors)]
     while work:
-        layer, phi = work.pop()
-        if layer.dim == 0:
-            continue
-        kernel, complement = _frame(layer.lattice)
-        # the characters whose a' agree up to sign cut L along the same
-        # subtori; besides L's support, only they can contain the new layers
+        layer, num, den, kernel, complement, restricted = work.pop()
         cuts = {}
-        for i, ch in enumerate(arr.characters):
-            a = tuple(sum(x * y for x, y in zip(ch.vector, k)) for k in kernel)
+        for i, a in enumerate(restricted):
             if any(a):
                 g = gcd(*a) if next(x for x in a if x) > 0 else -gcd(*a)
-                cuts.setdefault(tuple(x // g for x in a), []).append((ch, g, i))
+                cuts.setdefault(tuple(x // g for x in a), []).append((i, g))
         for prim, members in cuts.items():
-            # a translate is one value of a' t mod 1; it lies on the H_i of
-            # the members that reach it
+            # a translate is one value of a' t mod 1, as a reduced fraction;
+            # it lies on the H_i of the members that reach it
             translates = {}
-            for ch, g, i in members:
-                base = ch.value - pairing(ch.vector, phi)
+            for i, g in members:
+                c = arr.characters[i].value
+                scale = c.denominator * den
+                base = c.numerator * den - c.denominator * sum(
+                    x * y for x, y in zip(arr.characters[i].vector, num)
+                )
+                s_den = abs(g) * scale
                 for j in range(abs(g)):
-                    translates.setdefault(mod1((base + j) / g), []).append(i)
+                    s = (base + j * scale) * (1 if g > 0 else -1) % s_den
+                    r = gcd(s, s_den)
+                    translates.setdefault((s // r, s_den // r), []).append(i)
+            v, w = column_reduction(prim)
             lattice = Sublattice.from_rows(
                 n, layer.lattice.basis + (vec_mat(prim, complement),)
             )
-            u = express_in_rows(tuple((x,) for x in prim), (1,))
-            step = vec_mat(u, kernel)
-            for shift, on in translates.items():
-                point = tuple(
-                    mod1(p + shift * s) if s else p for p, s in zip(phi, step)
+            step = vec_mat([row[0] for row in v], kernel)
+            frame = None
+            for (s, s_den), on in translates.items():
+                # the point phi + (s / s_den) u K, over one denominator
+                new_den = lcm(den, s_den)
+                up, shift = new_den // den, s * (new_den // s_den)
+                point = [(p * up + shift * t) % new_den for p, t in zip(num, step)]
+                r = gcd(new_den, *point)
+                point, new_den = tuple(p // r for p in point), new_den // r
+                values = [
+                    sum(x * y for x, y in zip(row, point)) % new_den
+                    for row in lattice.basis
+                ]
+                r = gcd(new_den, *values)
+                values, value_den = tuple(x // r for x in values), new_den // r
+                key = (lattice.basis, value_den, values)
+                if key in found:
+                    continue
+                support = tuple(sorted(layer.support + tuple(on)))
+                new = Layer(
+                    lattice, tuple(Fraction(x, value_den) for x in values), support
                 )
-                values = tuple(pairing(row, point) for row in lattice.basis)
-                if Layer(lattice, values) not in found:
-                    support = tuple(sorted(layer.support + tuple(on)))
-                    new = Layer(lattice, values, support)
-                    found.add(new)
-                    work.append((new, point))
-    return LayerPoset(arr, tuple(sorted(found, key=Layer.key)))
+                found[key] = new
+                if new.dim:
+                    if frame is None:
+                        rest = tuple(row[1:] for row in v)
+                        frame = (
+                            mat_mul(tuple(zip(*rest)), kernel),
+                            mat_mul(w[1:], complement),
+                            mat_mul(restricted, rest),
+                        )
+                    work.append((new, point, new_den, *frame))
+    return LayerPoset(arr, tuple(sorted(found.values(), key=Layer.key)))
 
 
 def points(arr: Arrangement) -> list[Layer]:

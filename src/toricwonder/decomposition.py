@@ -142,8 +142,43 @@ def finest_integral_decomposition(vectors) -> Partition:
     return best
 
 
+def _splits_in_two(comps, lattice_of, rank: int) -> bool:
+    """True iff the components, disjoint bitmasks of a set whose span has
+    the given `rank`, fall into two groups whose lattices (`lattice_of` the
+    union mask of a group) direct-sum to the saturation of the whole.
+
+    Grouping the blocks of an integral decomposition keeps it integral, so
+    a set is Z-irreducible iff no such split exists.  The first component
+    stays in the first group: 2^(c-1) - 1 splits of c components.
+    """
+    head, rest = comps[0], comps[1:]
+    whole = functools.reduce(operator.or_, comps)
+    for pick in range(2 ** len(rest) - 1):
+        group = head
+        for j, comp in enumerate(rest):
+            if pick >> j & 1:
+                group |= comp
+        if _sums_to_saturation([lattice_of(group), lattice_of(whole & ~group)], rank):
+            return True
+    return False
+
+
 def is_z_irreducible(vectors) -> bool:
-    return len(finest_integral_decomposition(vectors)) == 1
+    """True iff no split of the matroid components into two groups is an
+    integral decomposition; each group is saturated as it is tested."""
+    if not vectors:
+        raise InvalidPartition("cannot decompose an empty set")
+    comps = connected_components(vectors)
+    if len(comps) == 1:
+        return True
+    n = len(vectors[0])
+
+    def saturated(mask):
+        rows = [v for i, v in enumerate(vectors) if mask >> i & 1]
+        return saturate(Sublattice.from_rows(n, rows))
+
+    masks = [sum(1 << i for i in c) for c in comps]
+    return not _splits_in_two(masks, saturated, _rank(vectors))
 
 
 def is_c_irreducible(vectors) -> bool:
@@ -203,14 +238,25 @@ class BuildingSet:
 
 
 def irreducible_layers(poset: LayerPoset) -> BuildingSet:
-    """All layers whose localized character set is Z-irreducible."""
-    arr = poset.arrangement
-    members = tuple(
-        layer
-        for layer in poset.layers
-        if is_z_irreducible([arr.characters[i].vector for i in layer.support])
-    )
-    return BuildingSet(members, "irreducible")
+    """All layers whose localized character set is Z-irreducible.
+
+    A union B of matroid components of a layer L's support is closed in
+    it, so B is a flat at L: the component of X_B through L is a layer
+    with support B, and every layer with support B has the lattice
+    sat(span B).  So each group's lattice is read off one table of the
+    poset's layers by support mask, and no block is saturated again.
+    """
+    chars = poset.arrangement.characters
+    lattices = {layer.mask: layer.lattice for layer in poset.layers}
+    members = []
+    for layer in poset.layers:
+        comps = connected_components([chars[i].vector for i in layer.support])
+        masks = [sum(1 << layer.support[k] for k in c) for c in comps]
+        if len(masks) == 1 or not _splits_in_two(
+            masks, lattices.__getitem__, layer.lattice.rank
+        ):
+            members.append(layer)
+    return BuildingSet(tuple(members), "irreducible")
 
 
 def custom_building_set(poset: LayerPoset, members) -> BuildingSet:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
-from .errors import NotContained, NotSaturated, NotUnimodular, ZeroVector
+from .errors import NotContained, NotPrimitive, NotSaturated, NotUnimodular, ZeroVector
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -342,6 +342,41 @@ def intersect(a: Sublattice, b: Sublattice) -> Sublattice:
             x = urow[: a.rank]
             rows.append(vec_mat(x, a.basis))
     return Sublattice.from_rows(a.ambient_rank, rows)
+
+
+def column_reduction(vector) -> tuple[Matrix, Matrix]:
+    """(V, W) for a primitive `vector` a: V unimodular with a V = e_1, and
+    W = V^-1, whose first row is then a itself.
+
+    Euclid's algorithm on the entries of a, as column operations on V; each
+    one is matched by the inverse row operation on W.
+    """
+    a = list(vector)
+    k = len(a)
+    v = [[int(i == j) for j in range(k)] for i in range(k)]
+    w = [[int(i == j) for j in range(k)] for i in range(k)]
+    while True:
+        nz = [j for j in range(k) if a[j]]
+        if len(nz) <= 1:
+            break
+        p = min(nz, key=lambda j: abs(a[j]))
+        for j in nz:
+            if j != p:
+                q = a[j] // a[p]
+                a[j] -= q * a[p]
+                for row in v:
+                    row[j] -= q * row[p]
+                w[p] = [x + q * y for x, y in zip(w[p], w[j])]
+    if len(nz) != 1 or abs(a[nz[0]]) != 1:
+        raise NotPrimitive(f"vector {tuple(vector)} is not primitive")
+    # move the entry +-1 to column 0 and make it +1
+    p, sign = nz[0], a[nz[0]]
+    for row in v:
+        row[0], row[p] = row[p], row[0]
+        row[0] *= sign
+    w[0], w[p] = w[p], w[0]
+    w[0] = [sign * x for x in w[0]]
+    return tuple(map(tuple, v)), tuple(map(tuple, w))
 
 
 def express_in_rows(rows: Matrix, target) -> tuple[int, ...] | None:

@@ -30,6 +30,9 @@ eliminations, independent of the library's integer Hermite form.  The
 pairing oracle sums `Fraction` products, independent of the library's
 integer numerators.  The characteristic-polynomial oracle is the subset
 sum over all 2^m character subsets, each solved as one torsion system.
+The frame-walk oracle is the layer walk that recomputes each layer's
+frame from its lattice by a Smith form and carries its points as
+`Fraction`s, as `build_poset` once did.
 The building-set oracle checks each flat at each point on the support
 tuples of its maximal members with `is_integral_decomposition`, which
 saturates every block again.
@@ -167,6 +170,60 @@ def oracle_layers(arr):
         for subset in itertools.combinations(range(m), size):
             for layer in layer_components(arr, subset):
                 found.setdefault(layer, layer)
+    return sorted(found, key=Layer.key)
+
+
+def _oracle_frame(lattice):
+    """(K, C) for a saturated lattice of rank r: one Smith form U B V = D of
+    its basis B, K the columns of V past r and C the rows of V^-1 past r."""
+    if lattice.rank == 0:
+        eye = identity_matrix(lattice.ambient_rank)
+        return eye, eye
+    right = smith_normal_form(lattice.basis).right
+    kernel = tuple(zip(*right))[lattice.rank :]
+    return kernel, invert_unimodular(right)[lattice.rank :]
+
+
+def oracle_frame_walk(arr):
+    """Every layer, in canonical order, by the walk that recomputes each
+    layer's frame from its lattice (one Smith form and one unimodular
+    inverse per layer) and carries its point as `Fraction`s: each cut
+    direction a' gets an integer u with a' u = 1 from a Hermite form."""
+    n = arr.rank
+    found = set()
+    work = [(Layer(Sublattice.zero(n), ()), (Fraction(0),) * n)]
+    while work:
+        layer, phi = work.pop()
+        if layer.dim == 0:
+            continue
+        kernel, complement = _oracle_frame(layer.lattice)
+        cuts = {}
+        for i, ch in enumerate(arr.characters):
+            a = tuple(sum(x * y for x, y in zip(ch.vector, k)) for k in kernel)
+            if any(a):
+                g = gcd(*a) if next(x for x in a if x) > 0 else -gcd(*a)
+                cuts.setdefault(tuple(x // g for x in a), []).append((ch, g, i))
+        for prim, members in cuts.items():
+            translates = {}
+            for ch, g, i in members:
+                base = ch.value - pairing(ch.vector, phi)
+                for j in range(abs(g)):
+                    translates.setdefault(mod1((base + j) / g), []).append(i)
+            lattice = Sublattice.from_rows(
+                n, layer.lattice.basis + (vec_mat(prim, complement),)
+            )
+            u = express_in_rows(tuple((x,) for x in prim), (1,))
+            step = vec_mat(u, kernel)
+            for shift, on in translates.items():
+                point = tuple(
+                    mod1(p + shift * s) if s else p for p, s in zip(phi, step)
+                )
+                values = tuple(pairing(row, point) for row in lattice.basis)
+                if Layer(lattice, values) not in found:
+                    support = tuple(sorted(layer.support + tuple(on)))
+                    new = Layer(lattice, values, support)
+                    found.add(new)
+                    work.append((new, point))
     return sorted(found, key=Layer.key)
 
 

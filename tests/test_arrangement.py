@@ -30,6 +30,7 @@ from oracles import (
     case_arrangement,
     oracle_characteristic_polynomial,
     oracle_complete_subsets,
+    oracle_frame_walk,
     oracle_hasse_edges,
     oracle_layers,
     random_arrangement,
@@ -159,27 +160,62 @@ class TestPosetOracle:
         assert [l.key() for l in poset.layers] == [l.key() for l in expected]
         assert poset.hasse_edges() == oracle_hasse_edges(poset)
 
+    def test_a4_matches_brute_force(self):
+        """All 1,023 character subsets of A4; those of B4 and C4 (2^16 and
+        2^20) are left to the frame walk below."""
+        poset = build_poset(root_system("A", 4))
+        expected = oracle_layers(poset.arrangement)
+        assert [l.key() for l in poset.layers] == [l.key() for l in expected]
+
+    @pytest.mark.parametrize("case", ORACLE_CASES + RANK_FOUR_CASES)
+    def test_matches_frame_walk(self, case):
+        """The carried frames against one Smith form per layer: the same
+        layers, supports and order (`Layer.key` holds the support)."""
+        poset = build_poset(case_arrangement(case))
+        expected = oracle_frame_walk(poset.arrangement)
+        assert [l.key() for l in poset.layers] == [l.key() for l in expected]
+
+    def test_a5_layer_count(self):
+        poset = build_poset(root_system("A", 5))
+        assert len(poset.arrangement.characters) == 15
+        assert len(poset.layers) == 202
+        assert len(poset.points) == 1
+
 
 class TestPosetScale:
     @pytest.mark.parametrize(
-        "kind, rank, count", [("C", 3, 48), ("B", 4, 160)], ids=["C3", "B4"]
+        "kind, rank, count, cuts",
+        [("C", 3, 48, 85), ("B", 4, 160, 484)],
+        ids=["C3", "B4"],
     )
-    def test_one_smith_form_per_layer(self, monkeypatch, kind, rank, count):
-        calls = []
-        smith = lattices.smith_normal_form
+    def test_no_smith_form(self, monkeypatch, kind, rank, count, cuts):
+        arr = root_system(kind, rank)
+        calls = {"smith": 0, "express": 0, "hermite": 0, "reduction": 0}
 
-        def counted(mat):
-            calls.append(mat)
-            return smith(mat)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        # `arrangement` holds its own reference to the function
-        monkeypatch.setattr(lattices, "smith_normal_form", counted)
-        monkeypatch.setattr(arrangement, "smith_normal_form", counted)
-        poset = build_poset(root_system(kind, rank))
+            return wrapper
+
+        # `arrangement` holds its own references to the functions it imports
+        for name, attr in [
+            ("smith", "smith_normal_form"),
+            ("express", "express_in_rows"),
+            ("hermite", "hermite_normal_form"),
+            ("reduction", "column_reduction"),
+        ]:
+            wrapped = counted(name, getattr(lattices, attr))
+            monkeypatch.setattr(lattices, attr, wrapped)
+            monkeypatch.setattr(arrangement, attr, wrapped, raising=False)
+        poset = build_poset(arr)
         assert len(poset.layers) == count
-        # one frame per layer of positive dimension; a torsion solve per
-        # (layer, character off the layer) would make 354 on C3, 1,788 on B4
-        assert len(calls) <= len(poset.layers)
+        # each layer carries its frame from its parent: no Smith form and no
+        # unimodular solve; one column reduction and one Hermite form (the
+        # canonical basis of the new lattice) per (layer, cut direction)
+        assert calls["smith"] == calls["express"] == 0
+        assert calls["hermite"] == calls["reduction"] == cuts
 
     def test_b4_layer_count(self):
         poset = build_poset(root_system("B", 4))

@@ -26,9 +26,10 @@ char = [1, -1] ; 0
 """
 
 
-# the m = 12 families of the `poset` bench and the rank-3 root systems A3
-# and B3 of the `atlas` bench, as perfbench/families.py writes them, so that
-# tier-1 pins their reports on its own
+# the m = 12 families of the `poset` bench, the rank-3 root systems A3 and
+# B3 of the `atlas` bench and the rank-2 B2 and C2 of the `query` bench, as
+# perfbench/families.py writes them, so that tier-1 pins their reports on
+# its own
 FAMILIES = {
     "C3": """\
 name = C3
@@ -97,6 +98,22 @@ char = [1, 0, 1] ; 0
 char = [1, 0, -1] ; 0
 char = [0, 1, 1] ; 0
 char = [0, 1, -1] ; 0
+""",
+    "B2": """\
+name = B2
+rank = 2
+char = [1, 0] ; 0
+char = [0, 1] ; 0
+char = [1, 1] ; 0
+char = [1, -1] ; 0
+""",
+    "C2": """\
+name = C2
+rank = 2
+char = [2, 0] ; 0
+char = [0, 2] ; 0
+char = [1, 1] ; 0
+char = [1, -1] ; 0
 """,
 }
 
@@ -302,6 +319,23 @@ GOLDEN = [
     ("C3", "nested --max --json", "6f6aa84bac9fa25f5803474d6d7929bbd8dc8cf123b7f45244ba835f8f667d00"),
     ("C3", "charts --verify --seed 42", "0098b8c2f093c6c02c722899a324c4c57a4cde36a1d683f5281a655d75397fa1"),
     ("C3", "charts --verify --seed 42 --json", "9a03ea3abbde1027cadd6c5bbb9aa04c1ce28564e55685eb67d8da649e74ff89"),
+    # the layers and building sets behind the `query` bench's one-shot calls
+    ("A3", "layers", "87ebbcd1b7bfa5c44bca618fc191e0258e0effd47b4fe7cf2f3232ae4a98533a"),
+    ("A3", "layers --json", "75402dc8e1f12ed1cc35ef74dc8b42354b5dfaf959b79d0a83164b3846f31068"),
+    ("A3", "irreducible", "43ed4c1ca39125f308f2344e118dc79e3ede937f6a44bcdc2171393ae8e609a9"),
+    ("A3", "irreducible --json", "cd075a0689df014e0c61cec1816b3523e93e723c8e7df1644ac82974cfe2fad4"),
+    ("B3", "layers", "68490789681729f7295121f71e8830697aad794f2753deb17b8dbc2217575953"),
+    ("B3", "layers --json", "eed7f85bbaa2cff5bf18ba6aaba8503bcd857807c1e8a69fa66c5dd150579fdd"),
+    ("B3", "irreducible", "50af5b32a8f8b805d0e239f47401cd87609756c99baad39cdeb78801082fac9e"),
+    ("B3", "irreducible --json", "3a6b411aa5584a5865c0d35ab2e0818af62dd4f40b813590e19b268385418945"),
+    ("B2", "layers", "250966fc9cbbbeea5af842cc76da58c81c925283bbc8c4b1f3853646eaafb377"),
+    ("B2", "layers --json", "8fc252c6d58de105c6e70f34450261b20fbc9286dcfe9401ea318bdd476276d8"),
+    ("B2", "irreducible", "cac9f48056ef8a38e46e97d74977e51e023dc79ee9f1902b5b65643c56e9dea1"),
+    ("B2", "irreducible --json", "8f0e31ff3df2e7e6447888bc825ee572f3c094211d9ab4ca0ea83a5c8d553608"),
+    ("C2", "layers", "5c7435dcfe9e72dff0670191a831782727757997578f3514e1ac3a3a45e92d94"),
+    ("C2", "layers --json", "310c8a095a60ed72dbc9b4696692806cbd843b37a419dd9334204418b6522c38"),
+    ("C2", "irreducible", "6b1fd894ed2d7038762242b814696b832ff718b9f6e335da0179217caee39d3e"),
+    ("C2", "irreducible --json", "8014bdd03862f567e135bc7a48e0144e32c260413613650cfc3faf4fcce68525"),
 ]
 
 

@@ -168,7 +168,9 @@ class TestBuildingSetScale:
         hermite = lattices.hermite_normal_form
         components = decomposition.connected_components
         integral = decomposition._sums_to_saturation
+        saturate = lattices.saturate
         hermite_calls, component_counts, integral_calls = [], [], []
+        saturate_calls = []
 
         def counted_hermite(mat):
             hermite_calls.append(len(mat))
@@ -183,47 +185,60 @@ class TestBuildingSetScale:
             return out
 
         def counted_integral(sats, rank):
+            # always a split into two groups
+            assert len(sats) == 2
             integral_calls.append(component_counts[-1])
             return integral(sats, rank)
+
+        def counted_saturate(lattice):
+            saturate_calls.append(lattice)
+            return saturate(lattice)
 
         monkeypatch.setattr(lattices, "hermite_normal_form", counted_hermite)
         monkeypatch.setattr(decomposition, "connected_components", counted_components)
         monkeypatch.setattr(decomposition, "_sums_to_saturation", counted_integral)
+        monkeypatch.setattr(decomposition, "saturate", counted_saturate)
+        monkeypatch.setattr(lattices, "saturate", counted_saturate)
         building = irreducible_layers(poset)
         assert len(building.members) == 62
         assert len(component_counts) == len(poset.layers) == 160
-        # one component is irreducible untested; with more, only
-        # coarsenings into 2 or more blocks are tested
+        # one component is irreducible untested; with more, only splits of
+        # the components into two groups are tested, each group's lattice
+        # read off the poset, up to the first integral split
         assert sum(c >= 2 for c in component_counts) == 104
-        assert len(integral_calls) == 140
+        assert saturate_calls == []
+        assert len(integral_calls) == 110
         assert all(c >= 2 for c in integral_calls)
+        assert len(integral_calls) <= sum(2 ** (c - 1) - 1 for c in component_counts)
 
     @pytest.mark.parametrize("kind, members", [("B", 62), ("C", 66)])
     def test_each_block_saturated_once(self, kind, members, monkeypatch):
-        """Within one search, the coarsenings share their blocks, and each
-        distinct block (a union of components) is saturated only once."""
+        """`finest_integral_decomposition` on each layer's support: within
+        one search, the coarsenings share their blocks, and each distinct
+        block (a union of components) is saturated only once."""
+        poset = build_poset(root_system(kind, 4))
+        chars = poset.arrangement.characters
         saturate = decomposition.saturate
         seen = []
 
         def counted_saturate(lattice):
-            seen[-1].append(lattice.basis)
+            seen.append(lattice.basis)
             return saturate(lattice)
 
-        def traced_finest(vectors):
-            seen.append([])
-            out = finest(vectors)
-            k = len(decomposition.connected_components(vectors))
-            # at most the proper non-empty unions of the k components
-            assert len(seen[-1]) <= max(2**k - 2, 0)
-            assert len(set(seen[-1])) == len(seen[-1])
-            return out
-
-        finest = decomposition.finest_integral_decomposition
         monkeypatch.setattr(decomposition, "saturate", counted_saturate)
-        monkeypatch.setattr(decomposition, "finest_integral_decomposition", traced_finest)
-        poset = build_poset(root_system(kind, 4))
-        assert len(irreducible_layers(poset).members) == members
-        assert sum(map(len, seen)) > 0
+        irreducible = saturated = 0
+        for layer in poset.layers:
+            vectors = [chars[i].vector for i in layer.support]
+            seen.clear()
+            finest = finest_integral_decomposition(vectors)
+            k = len(connected_components(vectors))
+            # at most the proper non-empty unions of the k components
+            assert len(seen) <= max(2**k - 2, 0)
+            assert len(set(seen)) == len(seen)
+            irreducible += len(finest) == 1
+            saturated += len(seen)
+        assert irreducible == members
+        assert saturated > 0
 
     def test_c4_members(self):
         poset = build_poset(root_system("C", 4))
@@ -283,6 +298,31 @@ class TestIrreducibility:
     def test_orthogonal_both_reducible(self):
         assert not is_z_irreducible([(1, 0), (0, 1)])
         assert not is_c_irreducible([(1, 0), (0, 1)])
+
+    def test_two_block_splits_match_finest(self, monkeypatch):
+        """Testing only splits into two groups decides irreducibility as the
+        exhaustive scan over all partitions does."""
+        integral = decomposition._sums_to_saturation
+        sizes = []
+
+        def counted(sats, rank):
+            sizes.append(len(sats))
+            return integral(sats, rank)
+
+        monkeypatch.setattr(decomposition, "_sums_to_saturation", counted)
+        rng = random.Random(202)
+        cases = [random_vectors(rng) for _ in range(150)]
+        cases += [random_vectors(rng, rank=4, count=5) for _ in range(30)]
+        cases += [[(1, 0), (0, 0)], [(0, 0, 1), (1, 1, 0), (1, -1, 0), (0, 0, 0)]]
+        reducible = 0
+        for vecs in cases:
+            want = len(oracle_finest(vecs)[0]) == 1
+            assert is_z_irreducible(vecs) == want
+            reducible += not want
+        assert 0 < reducible < len(cases)
+        assert set(sizes) == {2}
+        with pytest.raises(InvalidPartition):
+            is_z_irreducible([])
 
 
 class TestBuildingSets:

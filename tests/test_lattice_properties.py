@@ -5,13 +5,17 @@ and bounded in number, so the tests are deterministic and quick; they are
 skipped where hypothesis is not installed.
 """
 
+from math import gcd
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from toricwonder import NotPrimitive
 from toricwonder.lattices import (
     Sublattice,
+    column_reduction,
     hermite_normal_form,
     identity_matrix,
     intersect,
@@ -19,6 +23,7 @@ from toricwonder.lattices import (
     mat_mul,
     saturate,
     smith_normal_form,
+    vec_mat,
 )
 
 BOUNDED = settings(derandomize=True, max_examples=150, deadline=None)
@@ -35,6 +40,13 @@ def matrices(max_cols=4):
     return st.integers(1, max_cols).flatmap(
         lambda n: st.lists(st.tuples(*[st.integers(-6, 6)] * n), min_size=1, max_size=4)
     ).map(tuple)
+
+
+def vectors(max_len=5, bound=40):
+    """Non-zero integer vectors of length 1 to `max_len`."""
+    return st.integers(1, max_len).flatmap(
+        lambda k: st.tuples(*[st.integers(-bound, bound)] * k)
+    ).filter(any)
 
 
 def lattice_pairs(max_cols=4):
@@ -105,3 +117,22 @@ class TestIntersectProperties:
         a, b = pair
         meet = intersect(a, b)
         assert all(row in a and row in b for row in meet.basis)
+
+
+class TestColumnReductionProperties:
+    @BOUNDED
+    @given(vectors().filter(lambda a: gcd(*a) == 1))
+    def test_primitive_to_first_unit(self, a):
+        v, w = column_reduction(a)
+        k = len(a)
+        assert vec_mat(a, v) == identity_matrix(k)[0]
+        assert mat_mul(w, v) == identity_matrix(k)
+        assert w[0] == a
+
+    @BOUNDED
+    @given(vectors(bound=10), st.integers(2, 6))
+    def test_rejects_non_primitive(self, a, d):
+        with pytest.raises(NotPrimitive):
+            column_reduction(tuple(d * x for x in a))
+        with pytest.raises(NotPrimitive):
+            column_reduction((0,) * len(a))

@@ -17,7 +17,7 @@ from toricwonder import (
     core, decomposition, enumerate_maximal, irreducible_layers, normalize,
     point_layer,
 )
-from toricwonder.lattices import invert_unimodular
+from toricwonder.lattices import column_reduction, invert_unimodular
 
 arr = normalize(2, [((1, 1), 0), ((1, -1), 0)])
 poset = build_poset(arr)
@@ -40,6 +40,8 @@ for case in (
     lambda: decomposition.finest_integral_decomposition([(1, 0), (1,)]),
     # a chart member that misses the center
     lambda: build_chart(poset, NestedSet((lines[0], elsewhere), point_layer(arr, (0, 0)))),
+    # a cut direction of the poset walk must be primitive
+    lambda: column_reduction((2, -4, 6)),
 ):
     try:
         case()
@@ -70,7 +72,7 @@ def test_typed_errors(optimize):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "NotAdapted", "NotContained", "NotUnimodular", "NotUnimodular",
-        "NotNested", "NotNested", "InvalidPartition", "NotNested",
+        "NotNested", "NotNested", "InvalidPartition", "NotNested", "NotPrimitive",
     ]
 
 
