@@ -266,23 +266,22 @@ class LayerPoset:
         return tuple(sorted(pts, key=lambda l: l.values))
 
     def hasse_edges(self) -> list[tuple[Layer, Layer]]:
-        """Covering pairs (a, b): a < b with no layer strictly between."""
-        layers = self.layers
-        # nested supports and a smaller dimension are necessary for
-        # containment, but under torsion not sufficient
-        less = [
+        """Covering pairs (a, b): a < b with no layer strictly between.
+
+        These are exactly the containments a < b with dim a + 1 = dim b.
+        Layers are connected, so strict containment drops the dimension
+        and a layer strictly between would drop it twice.  Conversely, if
+        a < b, pick a character i in supp a but not in supp b; i is not
+        constant on b, so the component of b cap H_i holding a is a layer
+        of codimension one in b, and a lies in it below b.  For a cover it
+        is a.  Nested supports are necessary for containment, and the
+        cheapest test, but under torsion not sufficient.
+        """
+        return [
             (a, b)
-            for a, b in itertools.product(range(len(layers)), repeat=2)
-            if not layers[b].mask & ~layers[a].mask
-            and layers[a].dim < layers[b].dim
-            and layers[b].contains(layers[a])
+            for a, b in itertools.product(self.layers, repeat=2)
+            if not b.mask & ~a.mask and a.dim + 1 == b.dim and b.contains(a)
         ]
-        # bitsets of the indices strictly below and strictly above each layer
-        below, above = [0] * len(layers), [0] * len(layers)
-        for a, b in less:
-            below[b] |= 1 << a
-            above[a] |= 1 << b
-        return [(layers[a], layers[b]) for a, b in less if above[a] & below[b] == 0]
 
     def __contains__(self, layer: Layer) -> bool:
         return layer in self.ids

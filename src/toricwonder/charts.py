@@ -661,7 +661,8 @@ def divisor_dim(poset: LayerPoset, building: BuildingSet, members) -> int | None
     ok, _ = is_nested(members, building, poset)
     if not ok:
         return None
-    return poset.arrangement.rank - len(members)
+    # a repeated member is one divisor, as `is_nested` counts it
+    return poset.arrangement.rank - len(set(members))
 
 
 # -- curve limits -------------------------------------------------------

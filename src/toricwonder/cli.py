@@ -187,11 +187,15 @@ def _layer_by_id(poset, text: str):
     text = text.strip()
     if not text.startswith("L"):
         raise ToricError(f"expected a layer ID like L0, got {text!r}")
-    try:
-        idx = int(text[1:])
-        return poset.layers[idx]
-    except (ValueError, IndexError) as exc:
-        raise ToricError(f"unknown layer ID {text!r}") from exc
+    digits = text[1:]
+    # int() alone would also take a sign, underscores and non-ASCII digits;
+    # it raises ValueError past its digit limit
+    if digits.isascii() and digits.isdigit():
+        try:
+            return poset.layers[int(digits)]
+        except (ValueError, IndexError):
+            pass
+    raise ToricError(f"unknown layer ID {text!r}")
 
 
 # -- commands -----------------------------------------------------------

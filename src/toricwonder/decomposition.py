@@ -4,7 +4,9 @@ A partition of a vector set is a complex decomposition when block ranks
 add up, and an integral decomposition when additionally the direct sum of
 the block saturations is the saturation of the whole set (index one).
 The finest integral decomposition exists and is unique; its blocks are
-the irreducible pieces underlying the building set of layers.
+the irreducible pieces underlying the building set of layers.  Both it
+and irreducibility come from one search: the first integral split of the
+matroid components into two groups, recursed into each group.
 """
 
 from __future__ import annotations
@@ -98,54 +100,11 @@ def connected_components(vectors) -> Partition:
     return _canonical_partition(blocks)
 
 
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [head]] + part[i + 1 :]
-        yield [[head]] + part
-
-
-def finest_integral_decomposition(vectors) -> Partition:
-    """The unique finest partition into irreducible blocks.
-
-    Blocks of any integral decomposition are unions of matroid components,
-    so the search runs over coarsenings of the component partition; the
-    trivial one always qualifies, so only those into 2 or more blocks are tested.
-    """
-    if not vectors:
-        raise InvalidPartition("cannot decompose an empty set")
-    comps = connected_components(vectors)
-    best: Partition = (tuple(range(len(vectors))),)
-    if len(comps) == 1:
-        return best
-    n, rank = len(vectors[0]), _rank(vectors)
-    # the coarsenings share their blocks: saturate each one once, keyed by
-    # its set of component indices
-    sats: dict[frozenset[int], Sublattice] = {}
-    for grouping in _set_partitions(list(range(len(comps)))):
-        if len(grouping) <= len(best):
-            continue
-        blocks = []
-        for group in map(frozenset, grouping):
-            if group not in sats:
-                rows = [vectors[i] for i in sorted(i for c in group for i in comps[c])]
-                sats[group] = saturate(Sublattice.from_rows(n, rows))
-            blocks.append(sats[group])
-        if _sums_to_saturation(blocks, rank):
-            best = _canonical_partition(
-                tuple(i for c in group for i in comps[c]) for group in grouping
-            )
-    return best
-
-
-def _splits_in_two(comps, lattice_of, rank: int) -> bool:
-    """True iff the components, disjoint bitmasks of a set whose span has
-    the given `rank`, fall into two groups whose lattices (`lattice_of` the
-    union mask of a group) direct-sum to the saturation of the whole.
+def _integral_split(comps, lattice_of, rank: int) -> tuple[int, int] | None:
+    """The first split (group, rest) of the components, disjoint bitmasks of
+    a set whose span has the given `rank`, into two groups whose lattices
+    (`lattice_of` the union mask of a group) direct-sum to the saturation of
+    the whole; None if there is none.
 
     Grouping the blocks of an integral decomposition keeps it integral, so
     a set is Z-irreducible iff no such split exists.  The first component
@@ -159,26 +118,50 @@ def _splits_in_two(comps, lattice_of, rank: int) -> bool:
             if pick >> j & 1:
                 group |= comp
         if _sums_to_saturation([lattice_of(group), lattice_of(whole & ~group)], rank):
-            return True
-    return False
+            return group, whole & ~group
+    return None
 
 
-def is_z_irreducible(vectors) -> bool:
-    """True iff no split of the matroid components into two groups is an
-    integral decomposition; each group is saturated as it is tested."""
+def finest_integral_decomposition(vectors) -> Partition:
+    """The unique finest partition into irreducible blocks.
+
+    The common refinement of two integral decompositions is integral, so
+    the finest one refines every integral split of the matroid components
+    into two groups.  A group of such a split is a union of components, and
+    it splits integrally exactly as the finest blocks inside it do.  So a
+    set with no split is one block, and otherwise its blocks are the finest
+    blocks of each group of the first split found.  Each group is saturated
+    once, when a split first tests it.
+    """
     if not vectors:
         raise InvalidPartition("cannot decompose an empty set")
-    comps = connected_components(vectors)
-    if len(comps) == 1:
-        return True
     n = len(vectors[0])
 
+    @functools.cache
     def saturated(mask):
         rows = [v for i, v in enumerate(vectors) if mask >> i & 1]
         return saturate(Sublattice.from_rows(n, rows))
 
-    masks = [sum(1 << i for i in c) for c in comps]
-    return not _splits_in_two(masks, saturated, _rank(vectors))
+    def blocks(comps, rank):
+        split = _integral_split(comps, saturated, rank)
+        if split is None:
+            return [functools.reduce(operator.or_, comps)]
+        return [
+            block
+            for group in split
+            for block in blocks([c for c in comps if c & group], saturated(group).rank)
+        ]
+
+    comps = [sum(1 << i for i in c) for c in connected_components(vectors)]
+    return _canonical_partition(
+        [i for i in range(len(vectors)) if mask >> i & 1]
+        for mask in blocks(comps, _rank(vectors))
+    )
+
+
+def is_z_irreducible(vectors) -> bool:
+    """True iff the finest integral decomposition is the whole set."""
+    return len(finest_integral_decomposition(vectors)) == 1
 
 
 def is_c_irreducible(vectors) -> bool:
@@ -252,9 +235,7 @@ def irreducible_layers(poset: LayerPoset) -> BuildingSet:
     for layer in poset.layers:
         comps = connected_components([chars[i].vector for i in layer.support])
         masks = [sum(1 << layer.support[k] for k in c) for c in comps]
-        if len(masks) == 1 or not _splits_in_two(
-            masks, lattices.__getitem__, layer.lattice.rank
-        ):
+        if _integral_split(masks, lattices.__getitem__, layer.lattice.rank) is None:
             members.append(layer)
     return BuildingSet(tuple(members), "irreducible")
 

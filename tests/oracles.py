@@ -36,6 +36,10 @@ frame from its lattice by a Smith form and carries its points as
 The building-set oracle checks each flat at each point on the support
 tuples of its maximal members with `is_integral_decomposition`, which
 saturates every block again.
+The bitset Hasse oracle takes the transitive reduction of every
+containment over bitsets, and the coarsening oracle tests every
+coarsening of the matroid components with the library's Smith-form
+test, as `hasse_edges` and `finest_integral_decomposition` once did.
 """
 
 import cmath
@@ -57,6 +61,7 @@ from toricwonder import (
     Sublattice,
     WeightedCharacter,
     build_poset,
+    connected_components,
     factors,
     intersection_components,
     is_complete,
@@ -67,6 +72,7 @@ from toricwonder import (
     saturate,
 )
 from toricwonder.arrangement import _closure
+from toricwonder.decomposition import _sums_to_saturation
 from toricwonder.nested import _nested_sets
 from toricwonder.arrangement import top_member
 from toricwonder.charts import BetaTerm, ChartFunction, unit_root
@@ -241,6 +247,25 @@ def oracle_hasse_edges(poset):
     ]
 
 
+def oracle_bitset_hasse_edges(poset):
+    """Covering pairs as the transitive reduction of every containment
+    a < b with nested support masks and a smaller dimension, read off
+    bitsets of the layers below and above each layer."""
+    layers = poset.layers
+    less = [
+        (a, b)
+        for a, b in itertools.product(range(len(layers)), repeat=2)
+        if not layers[b].mask & ~layers[a].mask
+        and layers[a].dim < layers[b].dim
+        and layers[b].contains(layers[a])
+    ]
+    below, above = [0] * len(layers), [0] * len(layers)
+    for a, b in less:
+        below[b] |= 1 << a
+        above[a] |= 1 << b
+    return [(layers[a], layers[b]) for a, b in less if above[a] & below[b] == 0]
+
+
 def set_partitions(items):
     items = list(items)
     if not items:
@@ -280,6 +305,30 @@ def oracle_finest(vectors):
             best.append(blocks)
     assert best, "the trivial partition is always integral"
     return best[0], len(best) == 1
+
+
+def oracle_coarsening_finest(vectors):
+    """The finest integral partition as the coarsening of the matroid
+    components into the most blocks that passes `_sums_to_saturation`,
+    each distinct block saturated once."""
+    comps = connected_components(vectors)
+    best = (tuple(range(len(vectors))),)
+    n = len(vectors[0])
+    rank = Sublattice.from_rows(n, vectors).rank
+    sats = {}
+    for grouping in set_partitions(range(len(comps))):
+        if len(grouping) <= len(best):
+            continue
+        blocks = []
+        for group in map(frozenset, grouping):
+            if group not in sats:
+                rows = [vectors[i] for i in sorted(i for c in group for i in comps[c])]
+                sats[group] = saturate(Sublattice.from_rows(n, rows))
+            blocks.append(sats[group])
+        if _sums_to_saturation(blocks, rank):
+            blocks = [sorted(i for c in group for i in comps[c]) for group in grouping]
+            best = tuple(sorted(map(tuple, blocks), key=lambda b: b[0]))
+    return best
 
 
 def oracle_connected_components(vectors):

@@ -28,6 +28,7 @@ from oracles import (
     ORACLE_CASES,
     RANK_FOUR_CASES,
     case_arrangement,
+    oracle_bitset_hasse_edges,
     oracle_characteristic_polynomial,
     oracle_complete_subsets,
     oracle_frame_walk,
@@ -159,6 +160,16 @@ class TestPosetOracle:
         expected = oracle_layers(poset.arrangement)
         assert [l.key() for l in poset.layers] == [l.key() for l in expected]
         assert poset.hasse_edges() == oracle_hasse_edges(poset)
+
+    @pytest.mark.parametrize("case", RANK_FOUR_CASES)
+    def test_covers_match_bitset_reduction(self, case):
+        """Covers as containments of codimension one, against the transitive
+        reduction of every containment that they replaced: the same list in
+        the same order."""
+        poset = build_poset(case_arrangement(case))
+        edges = poset.hasse_edges()
+        assert edges == oracle_bitset_hasse_edges(poset)
+        assert all(a.dim + 1 == b.dim for a, b in edges)
 
     def test_a4_matches_brute_force(self):
         """All 1,023 character subsets of A4; those of B4 and C4 (2^16 and

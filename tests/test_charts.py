@@ -562,6 +562,13 @@ class TestDivisorDim:
         h = next(l for l in poset.layers if l.dim == 1)
         assert divisor_dim(poset, building, [h]) == 1
 
+    def test_repeated_member_counted_once(self, two_lines):
+        arr, poset, building = two_lines
+        h = next(l for l in poset.layers if l.dim == 1)
+        p1 = point_layer(arr, (0, 0))
+        assert divisor_dim(poset, building, [h, h, h]) == 1
+        assert divisor_dim(poset, building, [p1, h, p1]) == 0
+
     def test_foreign_rejected(self, doubled_square):
         _, poset, building = doubled_square
         outsider = next(l for l in poset.layers if l not in building)

@@ -237,6 +237,22 @@ class TestCommands:
     def test_domain_error_exit_one(self, two_lines_file, capsys):
         assert main(["divisor", two_lines_file, "--set", "L99"]) == 1
 
+    @pytest.mark.parametrize("lid", ["L-1", "L+0", "L1_0", "L 1", "L\u0661", "L", "L4"])
+    def test_bad_layer_id_rejected(self, two_lines_file, capsys, lid):
+        """Only `L` and ASCII digits name a layer: `int` alone would read
+        L-1 as the last layer, L+0 as L0 and L1_0 as L10."""
+        for args in (["nested", "--max", "--point", lid], ["divisor", "--set", lid]):
+            assert main([args[0], two_lines_file, *args[1:]]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: unknown layer ID {lid!r}\n"
+
+    def test_layer_id_digits(self, two_lines_file, capsys):
+        assert main(["nested", two_lines_file, "--max", "--point", "L3"]) == 0
+        assert "center=L3" in capsys.readouterr().out
+        assert main(["divisor", two_lines_file, "--set", "L0,L0,L0"]) == 0
+        assert "divisor {L0, L0, L0}: dim 1" in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         assert main(["points", "/nonexistent.arr"]) == 1
 

@@ -27,6 +27,7 @@ from oracles import (
     RANK_FOUR_CASES,
     case_arrangement,
     oracle_building_set_error,
+    oracle_coarsening_finest,
     oracle_connected_components,
     oracle_finest,
     oracle_irreducible_layers,
@@ -214,8 +215,9 @@ class TestBuildingSetScale:
     @pytest.mark.parametrize("kind, members", [("B", 62), ("C", 66)])
     def test_each_block_saturated_once(self, kind, members, monkeypatch):
         """`finest_integral_decomposition` on each layer's support: within
-        one search, the coarsenings share their blocks, and each distinct
-        block (a union of components) is saturated only once."""
+        one search, the splits and the recursion into their groups share
+        their blocks, and each distinct block (a union of components) is
+        saturated only once."""
         poset = build_poset(root_system(kind, 4))
         chars = poset.arrangement.characters
         saturate = decomposition.saturate
@@ -284,6 +286,77 @@ class TestFinest:
             want, unique = oracle_finest(vecs)
             assert got == want
             assert unique
+
+
+    @pytest.mark.parametrize("case", RANK_FOUR_CASES)
+    def test_layer_supports_match_coarsening_search(self, case):
+        """The first-split recursion against the search over every
+        coarsening of the components that it replaced."""
+        poset = build_poset(case_arrangement(case))
+        chars = poset.arrangement.characters
+        reducible = 0
+        for layer in poset.layers:
+            vectors = [chars[i].vector for i in layer.support]
+            want = oracle_coarsening_finest(vectors)
+            assert finest_integral_decomposition(vectors) == want
+            assert is_z_irreducible(vectors) == (len(want) == 1)
+            reducible += len(want) > 1
+        assert reducible > 0
+
+    def test_random_sets_match_coarsening_search(self):
+        rng = random.Random(303)
+        cases = [random_vectors(rng) for _ in range(300)]
+        cases += [random_vectors(rng, rank=4, count=7) for _ in range(60)]
+        # direct sums of random sets in disjoint coordinates, shuffled, so
+        # that the recursion goes past the first split
+        for _ in range(200):
+            parts = [random_vectors(rng, rank=rng.randint(1, 2)) for _ in range(3)]
+            width = sum(len(part[0]) for part in parts)
+            vectors, offset = [], 0
+            for part in parts:
+                pad = width - offset - len(part[0])
+                vectors += [(0,) * offset + v + (0,) * pad for v in part]
+                offset += len(part[0])
+            rng.shuffle(vectors)
+            cases.append(vectors)
+        blocks = Counter()
+        for vectors in cases:
+            want = oracle_coarsening_finest(vectors)
+            assert finest_integral_decomposition(vectors) == want
+            blocks[min(len(want), 3)] += 1
+        assert min(blocks.values()) > 30
+
+    @staticmethod
+    def _index_two_pairs(k):
+        """k pairs (e_2i + e_2i+1, e_2i - e_2i+1): 2k independent vectors,
+        so 2k matroid components, and each pair one block of index two."""
+        unit = [tuple(int(j == i) for j in range(2 * k)) for i in range(2 * k)]
+        return [
+            tuple(a + s * b for a, b in zip(unit[2 * i], unit[2 * i + 1]))
+            for i in range(k)
+            for s in (1, -1)
+        ]
+
+    def test_index_two_pairs_cost(self, monkeypatch):
+        """Each split tests two lattices, and the recursion stops at the
+        first integral split of each group: 10 tests for 4 pairs, where
+        the search over all 4,140 coarsenings of the 8 components made
+        1,443, with up to 8 lattices each."""
+        integral = decomposition._sums_to_saturation
+        sizes = []
+
+        def counted(sats, rank):
+            sizes.append(len(sats))
+            return integral(sats, rank)
+
+        three = self._index_two_pairs(3)
+        assert finest_integral_decomposition(three) == oracle_finest(three)[0]
+        assert len(connected_components(three)) == 6
+        monkeypatch.setattr(decomposition, "_sums_to_saturation", counted)
+        four = self._index_two_pairs(4)
+        assert finest_integral_decomposition(four) == ((0, 1), (2, 3), (4, 5), (6, 7))
+        assert set(sizes) == {2}
+        assert len(sizes) <= 10
 
 
 class TestIrreducibility:
