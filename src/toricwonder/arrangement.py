@@ -20,6 +20,7 @@ from .errors import (
     InfiniteIndex,
     NotAPoint,
     NotComplete,
+    NotContained,
     NotNested,
     NotPrimitive,
     ParseError,
@@ -224,6 +225,10 @@ def layer_components(arr: Arrangement, subset) -> list[Layer]:
     subset = sorted(set(subset))
     if not subset:
         raise EmptySubset("a nonempty character subset is required")
+    if subset[0] < 0 or subset[-1] >= len(arr.characters):
+        raise NotContained(
+            f"character indices {subset} are not all in 0..{len(arr.characters) - 1}"
+        )
     chars = [arr.characters[i] for i in subset]
     return components(arr, [ch.vector for ch in chars], [ch.value for ch in chars])
 
@@ -242,6 +247,12 @@ class LayerPoset:
     def __post_init__(self):
         object.__setattr__(self, "ids", {l: i for i, l in enumerate(self.layers)})
 
+    def _own(self, layer: Layer) -> Layer:
+        """The poset's layer equal to `layer`, else `layer` with its support."""
+        if layer in self.ids:
+            return self.layers[self.ids[layer]]
+        return make_layer(self.arrangement, layer.lattice, layer.values)
+
     def flats_at(self, p: Layer) -> dict[int, Layer]:
         """The layers through `p` by support mask, in `Layer.key` order: the
         masks are the flats of the characters through p (`_Local`), and the
@@ -249,6 +260,7 @@ class LayerPoset:
         try:
             return self._flats[p]
         except KeyError:
+            p = self._own(p)
             table = {0: self.torus}
             for l in self.layers:
                 if l.passes_through(p):
@@ -411,17 +423,12 @@ def _closure(arr: Arrangement, ground, subset) -> tuple[int, ...]:
 def complete_subsets(arr: Arrangement, p: Layer) -> list[tuple[int, ...]]:
     """All flats of the localized character set at the point `p`.
 
-    Includes the empty set and the full localized set.  Each flat is grown
-    from a smaller one by adding one element and closing.
+    Includes the empty set and the full localized set.  They are the
+    supports of the layers through p, read from the poset's flat table.
     """
-    ground = localized(arr, p)
-    flats, work = {()}, [()]
-    while work:
-        flat = work.pop()
-        grown = {_closure(arr, ground, flat + (i,)) for i in ground if i not in flat}
-        work.extend(grown - flats)
-        flats |= grown
-    return sorted(flats, key=lambda f: (len(f), f))
+    localized(arr, p)  # raises NotAPoint unless p is a point
+    table = build_poset(arr).flats_at(p)
+    return sorted((l.support for l in table.values()), key=lambda f: (len(f), f))
 
 
 def is_complete(arr: Arrangement, p: Layer, subset) -> bool:
@@ -445,5 +452,11 @@ def layer_from_complete_set(arr: Arrangement, p: Layer, subset) -> Layer:
 
 def point_layer(arr: Arrangement, coordinates) -> Layer:
     """The 0-dimensional layer at the given torsion coordinates."""
+    coordinates = tuple(coordinates)
+    if len(coordinates) != arr.rank:
+        raise NotAPoint(
+            f"a point of the rank-{arr.rank} torus has {arr.rank} coordinates, "
+            f"not {len(coordinates)}"
+        )
     lattice = Sublattice(arr.rank, identity_matrix(arr.rank))
     return make_layer(arr, lattice, tuple(mod1(Fraction(c)) for c in coordinates))

@@ -263,9 +263,16 @@ class Chart:
 
     # -- coordinate maps ------------------------------------------------
 
+    def _sized(self, entries, what: str):
+        """`entries` if it has one entry per coordinate, else OutsideDomain."""
+        if len(entries) != self.rank:
+            raise OutsideDomain(f"{what} {tuple(entries)} does not have length {self.rank}")
+        return entries
+
     def member_character_values(self, z) -> list[complex]:
         """The value of each basis character at the image torus point."""
-        return [m + root for m, root in zip(_monomials(z, self.below), self._roots)]
+        below = _monomials(self._sized(z, "chart point"), self.below)
+        return [m + root for m, root in zip(below, self._roots)]
 
     def in_coordinate_domain(self, z) -> bool:
         return self._in_domain(self.member_character_values(z))
@@ -284,9 +291,11 @@ class Chart:
         return tuple(_power_products(values, self._basis_inv))
 
     def character_value(self, t, vector) -> complex:
-        return _power_products(t, (_sparse(vector),))[0]
+        row = _sparse(self._sized(vector, "character"))
+        return _power_products(self._sized(t, "torus point"), (row,))[0]
 
     def torus_to_chart(self, t) -> tuple[complex, ...]:
+        t = self._sized(t, "torus point")
         return _to_chart(t, self._basis_sparse, self._roots, self.succ, self.tolerance)
 
     # -- the unit functions --------------------------------------------
@@ -302,7 +311,7 @@ class Chart:
 
     def constant_member(self, vector) -> Layer | None:
         """The largest member on which the character matches its value at p."""
-        c = self._top_constant(self._coefficients(vector))
+        c = self._top_constant(self._coefficients(self._sized(vector, "character")))
         return None if c is None else self.members[c]
 
     def _top_constant(self, coeffs) -> int | None:
@@ -316,7 +325,7 @@ class Chart:
         return _chain_top(self.members, inside)
 
     def character_unit(self, vector, value: Fraction) -> ChartFunction:
-        key = (tuple(vector), mod1(Fraction(value)))
+        key = (tuple(self._sized(vector, "character")), mod1(Fraction(value)))
         if key not in self._functions:
             self._functions[key] = self._expand(*key)
         return self._functions[key]
@@ -447,7 +456,7 @@ class Chart:
         )
 
     def coordinate_monomial(self, z, base_member: int) -> complex:
-        return _monomials(z, (self.below[base_member],))[0]
+        return _monomials(self._sized(z, "chart point"), (self.below[base_member],))[0]
 
 
 # -- flat evaluation ----------------------------------------------------
@@ -559,15 +568,12 @@ def build_chart(
         chart = Chart(poset, nested_set, members, basis, tolerance)
     except NotUnimodular as exc:
         raise NotAdapted("the basis is not a basis of the character lattice") from exc
-    _check_adapted(chart)
-    return chart
-
-
-def _check_adapted(chart: Chart):
-    for i, member in enumerate(chart.members):
-        rows = [chart.basis[j] for j in chart.below_inverse(i)]
-        if hermite_basis(rows) != member.lattice.basis:
+    # the rows of the members containing a member lie in its lattice and, as
+    # rows of a basis, span a saturated lattice: its own iff the ranks agree
+    for i, member in enumerate(members):
+        if len(chart.below_inverse(i)) != member.lattice.rank:
             raise NotAdapted(f"the basis is not adapted to member {member}")
+    return chart
 
 
 def atlas(
@@ -593,11 +599,7 @@ def transition(source: Chart, target: Chart, z) -> tuple[tuple[complex, ...], Tr
     """Coordinates of the same model point in the target chart."""
     if not source.in_chart(z):
         raise NotInOverlap("the point is not in the source chart")
-    t = source.chart_to_torus(z)
-    try:
-        z_target = target.torus_to_chart(t)
-    except OnDivisor:
-        z_target = _transition_on_divisor(source, target, z, t)
+    z_target = _target_coordinates(source, target, z, source.chart_to_torus(z))
     if not target.in_chart(z_target):
         raise NotInOverlap("the image is not in the target chart")
     entries = []
@@ -611,8 +613,9 @@ def transition(source: Chart, target: Chart, z) -> tuple[tuple[complex, ...], Tr
     return z_target, TransitionReport(tuple(entries))
 
 
-def _transition_on_divisor(source, target, z, t):
-    """Successor ratios computed through the source chart's unit functions."""
+def _target_coordinates(source, target, z, t):
+    """The target's successor ratios at the torus point t, each one whose
+    denominator vanishes computed through the source chart's unit functions."""
     phi = source.point_coordinates
     nums = _numerators(t, target._basis_sparse, target._roots)
     out = []
@@ -707,7 +710,7 @@ def chart_for_curve(
 ) -> tuple[Chart, tuple[complex, ...]]:
     """The chart in which the germ has a limit, and the limit coordinates."""
     arr = poset.arrangement
-    p = germ.point
+    p = poset._own(germ.point)
     support = p.support
     orders = {}
     for i in support:
@@ -719,7 +722,7 @@ def chart_for_curve(
         orders[i] = n
     # flag of completions by vanishing order, factored into the building set
     collected: list[Layer] = []
-    for h in range(1, max(orders.values()) + 1):
+    for h in range(1, max(orders.values(), default=0) + 1):
         # the characters vanishing to order >= h along the germ form a flat
         level = sum(1 << i for i in support if orders[i] >= h)
         if not level:

@@ -208,10 +208,11 @@ class BuildingSet:
     _locals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _at(self, p: Layer) -> _Local:
-        """The building set seen from `p`, made once per layer."""
-        if p not in self._locals:
-            self._locals[p] = _Local(self.members, p)
-        return self._locals[p]
+        """The building set seen from `p`, made once per layer and support."""
+        key = (p, p.mask)
+        if key not in self._locals:
+            self._locals[key] = _Local(self.members, p)
+        return self._locals[key]
 
     def members_through(self, p: Layer) -> list[Layer]:
         return list(self._at(p).members)
@@ -244,7 +245,7 @@ def custom_building_set(poset: LayerPoset, members) -> BuildingSet:
     """A user-chosen building set; the defining property is validated: at
     each point, the parts of each flat partition it, and the parts' lattices,
     the saturated spans of their supports, direct-sum to the flat's."""
-    members = tuple(sorted(set(members), key=Layer.key))
+    members = tuple(sorted({poset._own(m) for m in members}, key=Layer.key))
     for m in members:
         if m not in poset:
             raise NotInPoset(f"{m} is not a layer of the arrangement")
@@ -272,6 +273,7 @@ def factors(poset: LayerPoset, layer: Layer, building: BuildingSet) -> list[Laye
     """The building-set factors of a layer; their intersection is the layer."""
     if layer not in poset:
         raise NotInPoset(f"{layer} is not a layer of the arrangement")
+    layer = poset._own(layer)
     # factors are the minimal members above the layer, i.e. the ones with
     # maximal support inside the layer's support
     local = building._at(layer)

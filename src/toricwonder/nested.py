@@ -191,18 +191,23 @@ def enumerate_maximal(
     """All maximal nested sets with center `p`; each has n members."""
     if p.dim != 0:
         raise NotAPoint("maximal nested sets are enumerated per point")
+    p = poset._own(p)
     n = poset.arrangement.rank
     local = building._at(p)
+    # center p iff the lattices sum to a saturated one; every covering set
+    # sums as its minimal members, p or p's parts (`_extends`): test once
+    parts = local.decomposition(p.mask)
+    if not _connected([m for m in local.members if m.mask in parts], p):
+        return []
     out = []
     for chosen in _nested_sets(local, poset, range(len(local.members)), n):
         if len(chosen) < n:
             continue
-        # the center is p iff the flat of the supports is p's and it is connected
+        # the center is p iff the flat of the supports is p's
         union = functools.reduce(operator.or_, (local.masks[k] for k in chosen))
-        combo = [local.members[k] for k in chosen]
-        if union != p.mask or not _connected(combo, p):
+        if union != p.mask:
             continue
-        members = tuple(sorted(combo, key=Layer.key))
+        members = tuple(sorted((local.members[k] for k in chosen), key=Layer.key))
         out.append(NestedSet(members, p, _witness_flag(members, poset, p)))
     return sorted(out, key=NestedSet.key)
 

@@ -40,6 +40,11 @@ The bitset Hasse oracle takes the transitive reduction of every
 containment over bitsets, and the coarsening oracle tests every
 coarsening of the matroid components with the library's Smith-form
 test, as `hasse_edges` and `finest_integral_decomposition` once did.
+The grown-flat oracle closes flats one character at a time by span
+tests, the adaptedness oracle checks each chart member with a Hermite
+form, and the connected-maximal oracle tests each maximal nested set's
+intersection for connectivity on its own, as `complete_subsets`,
+`build_chart` and `enumerate_maximal` once did.
 """
 
 import cmath
@@ -73,12 +78,13 @@ from toricwonder import (
 )
 from toricwonder.arrangement import _closure
 from toricwonder.decomposition import _sums_to_saturation
-from toricwonder.nested import _nested_sets
+from toricwonder.nested import _connected, _nested_sets
 from toricwonder.arrangement import top_member
 from toricwonder.charts import BetaTerm, ChartFunction, unit_root
 from toricwonder.cli import parse_file
 from toricwonder.lattices import (
     express_in_rows,
+    hermite_basis,
     identity_matrix,
     intersect,
     invert_unimodular,
@@ -444,6 +450,20 @@ def oracle_complete_subsets(arr, p):
     return sorted(flats, key=lambda f: (len(f), f))
 
 
+def oracle_grown_flats(arr, p):
+    """Every flat at the point `p`, grown from the empty flat by adding one
+    localized character at a time and closing, as `complete_subsets` once
+    did."""
+    ground = localized(arr, p)
+    flats, work = {()}, [()]
+    while work:
+        flat = work.pop()
+        grown = {_closure(arr, ground, flat + (i,)) for i in ground if i not in flat}
+        work.extend(grown - flats)
+        flats |= grown
+    return sorted(flats, key=lambda f: (len(f), f))
+
+
 def root_system(kind, n):
     """A_n in simple-root coordinates, B_n or C_n in the e-basis; every
     root with the constant 0."""
@@ -618,6 +638,26 @@ def oracle_enumerate_maximal(poset, p, building):
     return sorted(out, key=NestedSet.key)
 
 
+def oracle_connected_maximal(poset, p, building):
+    """Maximal nested sets centred at `p`, without witnesses, from the
+    library's search, each tested on its own for a union of supports that
+    is p's and a connected intersection (`_connected`), as
+    `enumerate_maximal` once did."""
+    local = building._at(p)
+    n = poset.arrangement.rank
+    out = []
+    for chosen in _nested_sets(local, poset, range(len(local.members)), n):
+        if len(chosen) < n:
+            continue
+        union = 0
+        for k in chosen:
+            union |= local.masks[k]
+        combo = [local.members[k] for k in chosen]
+        if union == p.mask and _connected(combo, p):
+            out.append(NestedSet(tuple(combo), p))
+    return sorted(out, key=NestedSet.key)
+
+
 def oracle_center(members, building, poset):
     """The intersection of a nested family, by its components: (center,
     None), or (None, reason) where the library raises NotNested."""
@@ -712,6 +752,18 @@ def oracle_adapted_basis_rows(members):
         lift = vec_mat(combo[: c.lattice.rank], c.lattice.basis)
         new_rows.append(overlap.reduce(lift)[1])
     return rows_rest + new_rows
+
+
+def oracle_check_adapted(chart):
+    """The message `build_chart` raises for a chart whose basis is not
+    adapted, from one Hermite form per member, as it once did: the first
+    member whose lattice is not spanned by the basis vectors of the members
+    containing it.  None for an adapted basis."""
+    for i, member in enumerate(chart.members):
+        rows = [chart.basis[j] for j in chart.below_inverse(i)]
+        if hermite_basis(rows) != member.lattice.basis:
+            return f"the basis is not adapted to member {member}"
+    return None
 
 
 def oracle_chart_basis(members, phi):

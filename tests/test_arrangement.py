@@ -8,7 +8,9 @@ from toricwonder import (
     EmptySubset,
     InfiniteIndex,
     Layer,
+    NotAPoint,
     NotComplete,
+    NotContained,
     NotPrimitive,
     Sublattice,
     WeightedCharacter,
@@ -32,6 +34,7 @@ from oracles import (
     oracle_characteristic_polynomial,
     oracle_complete_subsets,
     oracle_frame_walk,
+    oracle_grown_flats,
     oracle_hasse_edges,
     oracle_layers,
     random_arrangement,
@@ -110,6 +113,21 @@ class TestLayerComponents:
         arr, _, _ = two_lines
         with pytest.raises(EmptySubset):
             layer_components(arr, ())
+
+    @pytest.mark.parametrize("subset", [(99,), (-1,), (0, 2)])
+    def test_index_out_of_range(self, two_lines, subset):
+        # a negative index would otherwise name a character from the end
+        arr, _, _ = two_lines
+        with pytest.raises(NotContained, match=r"not all in 0\.\.1"):
+            layer_components(arr, subset)
+
+
+class TestPointLayer:
+    @pytest.mark.parametrize("coordinates", [(0,), (0, 0, 0), ()])
+    def test_wrong_length(self, two_lines, coordinates):
+        arr, _, _ = two_lines
+        with pytest.raises(NotAPoint, match="has 2 coordinates"):
+            point_layer(arr, coordinates)
 
 
 class TestPoset:
@@ -388,8 +406,9 @@ def _mask(subset):
 
 
 class TestFlatTable:
-    """`LayerPoset.flats_at` against the flats grown by closure, the
-    subset scan and the layer built from each flat."""
+    """`LayerPoset.flats_at`, which `complete_subsets` reads, against the
+    flats grown by closure, the subset scan and the layer built from each
+    flat."""
 
     @pytest.mark.parametrize("case", ORACLE_CASES + RANK_FOUR_CASES)
     def test_matches_flats_and_layers(self, case):
@@ -397,7 +416,7 @@ class TestFlatTable:
         arr = poset.arrangement
         for p in poset.points:
             table = poset.flats_at(p)
-            flats = complete_subsets(arr, p)
+            flats = oracle_grown_flats(arr, p)
             assert set(table) == {_mask(f) for f in flats}
             assert table[0] == Layer(Sublattice.zero(arr.rank), ())
             for flat in flats[1:]:
@@ -410,6 +429,34 @@ class TestFlatTable:
             if len(localized(arr, p)) > 12:
                 continue
             assert set(table) == {_mask(f) for f in oracle_complete_subsets(arr, p)}
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_points_off_the_vertices(self, case):
+        """Points of the poset, lattice points on some or no hypersurfaces,
+        and each of them as a layer built without its support."""
+        arr = case_arrangement(case)
+        rng = random.Random(arr.rank)
+        points = list(build_poset(arr).points) + [
+            point_layer(arr, [F(rng.randrange(4), 4) for _ in range(arr.rank)])
+            for _ in range(4)
+        ]
+        for p in points:
+            flats = complete_subsets(arr, p)
+            assert flats == oracle_grown_flats(arr, p)
+            assert complete_subsets(arr, Layer(p.lattice, p.values)) == flats
+
+    def test_table_of_a_layer_without_support(self):
+        """An equal layer built without `support` gets the point's table, in
+        either order, and leaves the point's own table as it was."""
+        arr = root_system("B", 3)
+        for bare_first in (False, True):
+            poset = build_poset(arr)
+            p = poset.points[0]
+            bare = Layer(p.lattice, p.values)
+            first, second = (bare, p) if bare_first else (p, bare)
+            table = poset.flats_at(first)
+            assert poset.flats_at(second) is table
+            assert set(table) == {_mask(f) for f in oracle_grown_flats(arr, p)}
 
 
 class TestLayerFromCompleteSet:

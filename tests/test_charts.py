@@ -14,8 +14,10 @@ from toricwonder import (
     CurveGerm,
     InvalidGerm,
     Layer,
+    NestedSet,
     NotAdapted,
     NotInBuildingSet,
+    NotInOverlap,
     NotNested,
     OnDivisor,
     OutsideDomain,
@@ -28,6 +30,7 @@ from toricwonder import (
     divisor_dim,
     enumerate_maximal,
     irreducible_layers,
+    overlap_sweep,
     point_layer,
     residual_sweep,
     roundtrip_sweep,
@@ -46,6 +49,7 @@ from oracles import (
     ARR_FILES,
     oracle_adapted_basis_rows,
     oracle_chart_basis,
+    oracle_check_adapted,
     oracle_domain_samples,
     oracle_expand,
     oracle_maximal_constant_member,
@@ -76,6 +80,9 @@ SWEEP_PIN = "e8cf4fe234dee585932a6601d39156e7a175d3758dbc1c7a81c190d1e0675ac3"
 # sha256 of the member keys and basis of every chart of the A4, B4 and A5
 # atlases, recorded before build_chart shared its peel steps across charts
 BASIS_PIN = "1b13f5bf7e8e1bdbe0220ca09f53d8a9a1d3cad52b6bccb5d9656dc498f8c4bb"
+
+# sha256 of the overlap_sweep reports of TestOverlapPin
+OVERLAP_PIN = "ac2c4b63813ca08922e96b7086d229d49f085269c1715fe5d3d7445375239a3f"
 
 
 def chart_with(poset, building, point, member_basis, explicit=None):
@@ -326,6 +333,81 @@ class TestPeelOracle:
         assert not calls
 
 
+def _assigned_chart(poset, nested_set, rows):
+    """The chart `build_chart` makes from explicit rows before it checks
+    adaptedness: each row goes to the largest member whose lattice holds it."""
+    members = nested_set.members
+    basis = [None] * len(members)
+    for row in rows:
+        hits = [i for i, m in enumerate(members) if row in m.lattice]
+        basis[charts._chain_top(members, hits)] = tuple(row)
+    return Chart(poset, nested_set, members, tuple(basis))
+
+
+class TestAdaptedOracle:
+    """`build_chart`'s rank count against the per-member Hermite check it
+    replaced."""
+
+    def test_every_chart(self, bench_atlases, root_atlases):
+        seen = 0
+        for fam_atlas in [a for _, a in bench_atlases.values()] + [
+            root_atlases["A4"],
+            root_atlases["B4"],
+        ]:
+            for chart in fam_atlas:
+                assert oracle_check_adapted(chart) is None
+                seen += 1
+        assert seen == 407 + 105 + 672
+
+    def test_explicit_bases(self, bench_atlases):
+        """Sets of n members through a point, nested or not, with the peel
+        rows and with one row sheared by another.  Where a basis reaches the
+        adaptedness check, both checks name the same member, or neither."""
+        rng = random.Random(3)
+        outcomes = Counter()
+        for arr, _ in bench_atlases.values():
+            poset = build_poset(arr)
+            building = irreducible_layers(poset)
+            for p in poset.points:
+                combos = list(itertools.combinations(building.members_through(p), arr.rank))
+                for combo in rng.sample(combos, min(len(combos), 12)):
+                    try:
+                        rows = adapted_basis_rows(combo)
+                    except NotAdapted:
+                        continue
+                    i, j = rng.sample(range(len(rows)), 2)
+                    sheared = list(rows)
+                    sheared[i] = tuple(x + y for x, y in zip(rows[i], rows[j]))
+                    for basis in (rows, sheared):
+                        outcomes[self._compare(poset, NestedSet(combo, p), basis)] += 1
+        assert outcomes["adapted"] > 0 and outcomes["not adapted"] > 0
+
+    @staticmethod
+    def _compare(poset, nested_set, rows):
+        try:
+            chart = build_chart(poset, nested_set, basis_rows=rows)
+        except NotAdapted as exc:
+            if "adapted to member" not in str(exc):
+                return "rejected earlier"
+            assert str(exc) == oracle_check_adapted(
+                _assigned_chart(poset, nested_set, rows)
+            )
+            return "not adapted"
+        except NotNested:
+            return "rejected earlier"
+        assert oracle_check_adapted(chart) is None
+        return "adapted"
+
+    @pytest.mark.parametrize(
+        "rows", [[(1, 1), (1, 0)], [(1, 1), (0, 1)], [(1, 1), (2, 1)], [(1, 0), (1, 1)]]
+    )
+    def test_two_lines_bases(self, two_lines, rows):
+        arr, poset, building = two_lines
+        sets = enumerate_maximal(poset, point_layer(arr, (0, 0)), building)
+        for s in sets:
+            self._compare(poset, s, rows)
+
+
 class TestBasisPin:
     def test_rank_four_and_five_bases(self, root_atlases):
         """Every chart basis of A4, B4 and A5 is unchanged."""
@@ -513,6 +595,29 @@ class TestInChart:
         assert not std_chart.in_chart(z_by_member(std_chart, {"p": -1}))
 
 
+class TestInputLength:
+    """A point or character of the wrong length is OutsideDomain, not an
+    IndexError or an answer from its first entries."""
+
+    @pytest.mark.parametrize("entries", [(1,), (1, 1, 1)])
+    def test_every_entry_point(self, std_chart, entries):
+        calls = [
+            lambda: std_chart.character_unit(entries, 0),
+            lambda: std_chart.constant_member(entries),
+            lambda: std_chart.chart_to_torus(entries),
+            lambda: std_chart.torus_to_chart(entries),
+            lambda: std_chart.in_chart(entries),
+            lambda: std_chart.in_coordinate_domain(entries),
+            lambda: std_chart.member_character_values(entries),
+            lambda: std_chart.coordinate_monomial(entries, 0),
+            lambda: std_chart.character_value(entries, (1, 0)),
+            lambda: std_chart.character_value((1, 1), entries),
+        ]
+        for call in calls:
+            with pytest.raises(OutsideDomain, match="does not have length 2"):
+                call()
+
+
 class TestTransition:
     def test_shared_coordinate_ratio_one(self, two_lines):
         arr, poset, building = two_lines
@@ -614,6 +719,24 @@ class TestCurveLifting:
         with pytest.raises(InvalidGerm):
             chart_for_curve(poset, building, CurveGerm(p1, ((F(1), F(1)),)))
 
+    def test_point_without_support(self, two_lines):
+        """A germ based at a layer equal to the point but built without its
+        support gets the point's chart."""
+        arr, poset, building = two_lines
+        p1 = point_layer(arr, (0, 0))
+        jets = ((F(1), F(1)), (F(1), F(0)))
+        chart, z_limit = chart_for_curve(poset, building, CurveGerm(p1, jets))
+        bare = Layer(p1.lattice, p1.values)
+        again, z_again = chart_for_curve(poset, building, CurveGerm(bare, jets))
+        assert (again.members, again.basis, z_again) == (chart.members, chart.basis, z_limit)
+        assert again.center.support == p1.support
+
+    def test_point_on_no_hypersurface(self, two_lines):
+        arr, poset, building = two_lines
+        q = point_layer(arr, (F(1, 3), F(1, 5)))
+        with pytest.raises(InvalidGerm, match="does not complete"):
+            chart_for_curve(poset, building, CurveGerm(q, ((F(1), F(0)),)))
+
     @pytest.mark.parametrize("jets", [((F(1),),), ((F(1), F(1)), (F(1), F(0), F(2)))])
     def test_jet_length_must_be_rank(self, two_lines, jets):
         arr, _, _ = two_lines
@@ -638,6 +761,45 @@ class TestCurveLifting:
                     continue
                 assert chart.in_chart(z_limit)
                 done += 1
+
+
+class TestOverlapPin:
+    def test_reports_bit_identical(self, bench_atlases):
+        """The `overlap_sweep` reports between consecutive charts with one
+        center, on every bench family and example, to the last bit; recorded
+        while `transition` still tried `torus_to_chart` first."""
+        digest, reports = hashlib.sha256(), 0
+        for name, (_, fam_atlas) in sorted(bench_atlases.items()):
+            rng = random.Random(f"overlap:{name}")
+            for source, target in zip(fam_atlas, fam_atlas[1:]):
+                if source.center != target.center:
+                    continue
+                for entries in overlap_sweep(source, target, rng, 3, 100):
+                    reports += 1
+                    keyed = [(c.key(), clause, mag) for c, clause, mag in entries]
+                    digest.update(repr(keyed).encode())
+        assert (reports, digest.hexdigest()) == (981, OVERLAP_PIN)
+
+    def test_transition_off_the_divisor(self, bench_atlases):
+        """Where no successor vanishes, `transition` gives exactly
+        `torus_to_chart` of the torus point."""
+        rng = random.Random(12)
+        checked = 0
+        for _, fam_atlas in bench_atlases.values():
+            for source, target in zip(fam_atlas, fam_atlas[1:]):
+                if source.center != target.center:
+                    continue
+                z = charts._sample_point(rng, source.rank)
+                if not source.in_chart(z):
+                    continue
+                try:
+                    want = target.torus_to_chart(source.chart_to_torus(z))
+                    got, _ = transition(source, target, z)
+                except (OnDivisor, NotInOverlap):
+                    continue
+                assert got == want
+                checked += 1
+        assert checked > 50
 
 
 class TestSweepPin:

@@ -9,6 +9,7 @@ import pytest
 from toricwonder import (
     Flag,
     IsMinimal,
+    Layer,
     NotAPoint,
     NotContained,
     NotInBuildingSet,
@@ -36,6 +37,7 @@ from oracles import (
     case_arrangement,
     oracle_all_nested,
     oracle_center,
+    oracle_connected_maximal,
     oracle_enumerate_maximal,
     oracle_is_nested,
     oracle_maximal_nested,
@@ -45,6 +47,8 @@ from oracles import (
 )
 
 F = Fraction
+
+FILE_CASES = [pytest.param(p, id=p.stem) for p in ARR_FILES]
 
 
 def hypersurface(poset, basis_row, value=F(0)):
@@ -366,6 +370,119 @@ class TestIntersectionPath:
                     ]
 
 
+class TestConnectivityOnce:
+    """`enumerate_maximal` tests connectivity once per point, on the
+    decomposition of the point's support, against the per-set test it
+    replaced."""
+
+    @staticmethod
+    def _check(poset, building):
+        found = 0
+        for p in poset.points:
+            got = enumerate_maximal(poset, p, building)
+            want = oracle_connected_maximal(poset, p, building)
+            assert [(s.key(), s.center.key()) for s in got] == [
+                (s.key(), s.center.key()) for s in want
+            ]
+            found += len(got)
+        return found
+
+    @pytest.mark.parametrize(
+        "case", FILE_CASES + RANK_FOUR_CASES + [pytest.param(("A", 5), id="A5")]
+    )
+    def test_matches_per_set_check(self, case):
+        poset = build_poset(case_arrangement(case))
+        assert self._check(poset, irreducible_layers(poset)) > 0
+
+    def test_random_arrangements(self):
+        empty = 0
+        for seed in range(100):
+            poset = build_poset(random_arrangement(random.Random(1000 + seed)))
+            empty += self._check(poset, irreducible_layers(poset)) == 0
+        assert empty < 100
+
+    def test_unvalidated_lines(self, two_lines):
+        """The two lines are nested at each of their two common points, but
+        their intersection is both points: no maximal nested set."""
+        _, poset, _ = two_lines
+        lines = tuple(l for l in poset.layers if l.dim == 1)
+        building = BuildingSet(lines, "custom")
+        assert len(poset.points) == 2
+        for p in poset.points:
+            assert oracle_connected_maximal(poset, p, building) == []
+            assert enumerate_maximal(poset, p, building) == []
+
+    def test_point_outside_the_poset(self):
+        poset = build_poset(root_system("B", 3))
+        q = point_layer(poset.arrangement, (F(1, 7), F(2, 7), F(3, 7)))
+        assert q not in poset
+        assert enumerate_maximal(poset, q, irreducible_layers(poset)) == []
+
+    def test_b4_connected_calls(self, monkeypatch):
+        poset = build_poset(root_system("B", 4))
+        building = irreducible_layers(poset)
+        calls = []
+        connected = nested._connected
+
+        def counted(members, component):
+            calls.append(component)
+            return connected(members, component)
+
+        monkeypatch.setattr(nested, "_connected", counted)
+        assert len(enumerate_all_maximal(poset, building)) == 672
+        # one per point; a test per maximal nested set made 672
+        assert len(calls) == len(poset.points) == 12
+
+
+class TestLayerWithoutSupport:
+    """A layer equal to a poset point but built without `support`: equality
+    ignores the support, and the per-point caches must not mix the two."""
+
+    @staticmethod
+    def _fresh():
+        poset = build_poset(root_system("B", 3))
+        p = poset.points[0]
+        return poset, irreducible_layers(poset), p, Layer(p.lattice, p.values)
+
+    @staticmethod
+    def _shape(sets):
+        return [(s.key(), tuple(l.key() for l in s.witness.chain)) for s in sets]
+
+    def test_enumeration_in_either_order(self):
+        poset, building, p, bare = self._fresh()
+        want = self._shape(enumerate_maximal(poset, p, building))
+        assert len(want) == 30
+        assert self._shape(enumerate_maximal(poset, bare, building)) == want
+        poset, building, p, bare = self._fresh()
+        assert self._shape(enumerate_maximal(poset, bare, building)) == want
+        assert self._shape(enumerate_maximal(poset, p, building)) == want
+
+    def test_flat_table_first(self):
+        poset, building, p, bare = self._fresh()
+        table = poset.flats_at(bare)
+        assert len(enumerate_maximal(poset, p, building)) == 30
+        assert poset.flats_at(p) is table and table[p.mask] is p
+
+    def test_local_view_first(self):
+        poset, building, p, bare = self._fresh()
+        want = irreducible_layers(poset).members_through(p)
+        building._at(bare)
+        assert building.members_through(p) == want and want
+        assert len(enumerate_maximal(poset, p, building)) == 30
+
+    def test_factors_and_custom_members(self):
+        poset, building, p, bare = self._fresh()
+        want = factors(poset, p, irreducible_layers(poset))
+        assert factors(poset, bare, building) == want and want
+        assert factors(poset, p, building) == want
+        bare_members = [Layer(m.lattice, m.values) for m in building.members]
+        custom = custom_building_set(poset, bare_members)
+        assert [m.key() for m in custom.members] == [m.key() for m in building.members]
+        assert self._shape(enumerate_maximal(poset, p, custom)) == self._shape(
+            enumerate_maximal(poset, p, building)
+        )
+
+
 def _mobius_from_bottom(flats):
     """mu(0, f) on the lattice of flats, given as bitmasks."""
     mu = {}
@@ -387,9 +504,6 @@ def _check_mobius_at_points(poset, building):
         )
         mu = _mobius_from_bottom(poset.flats_at(p))
         assert total == (-1) ** (len(own) - 1) * mu[p.mask], p
-
-
-FILE_CASES = [pytest.param(p, id=p.stem) for p in ARR_FILES]
 
 
 class TestMobiusInvariant:

@@ -13,8 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = """
 from fractions import Fraction
 from toricwonder import (
-    BuildingSet, Flag, NestedSet, ToricError, build_chart, build_poset, center,
-    core, decomposition, enumerate_maximal, irreducible_layers, normalize,
+    BuildingSet, CurveGerm, Flag, NestedSet, ToricError, atlas, build_chart,
+    build_poset, center, chart_for_curve, core, decomposition,
+    enumerate_maximal, irreducible_layers, layer_components, normalize,
     point_layer,
 )
 from toricwonder.lattices import column_reduction, invert_unimodular
@@ -26,6 +27,8 @@ sets = enumerate_maximal(poset, point_layer(arr, (0, 0)), building)
 s = next(x for x in sets if any(m.dim == 1 for m in x.members))
 elsewhere = point_layer(arr, (Fraction(1, 2), Fraction(1, 2)))
 lines = tuple(l for l in poset.layers if l.dim == 1)
+chart = atlas(poset, building)[0]
+elsewhere_generic = point_layer(arr, (Fraction(1, 3), Fraction(1, 5)))
 
 
 for case in (
@@ -42,6 +45,17 @@ for case in (
     lambda: build_chart(poset, NestedSet((lines[0], elsewhere), point_layer(arr, (0, 0)))),
     # a cut direction of the poset walk must be primitive
     lambda: column_reduction((2, -4, 6)),
+    # character indices out of range, from either end
+    lambda: layer_components(arr, [99]),
+    lambda: layer_components(arr, [-1]),
+    # a point of the rank-2 torus needs two coordinates
+    lambda: point_layer(arr, (0,)),
+    # a chart's characters and points need one entry per coordinate
+    lambda: chart.character_unit((1,), 0),
+    lambda: chart.chart_to_torus((0.1,)),
+    lambda: chart.torus_to_chart((1,)),
+    # a germ at a point on no hypersurface
+    lambda: chart_for_curve(poset, building, CurveGerm(elsewhere_generic, ((1, 0),))),
 ):
     try:
         case()
@@ -73,6 +87,8 @@ def test_typed_errors(optimize):
     assert proc.stdout.split() == [
         "NotAdapted", "NotContained", "NotUnimodular", "NotUnimodular",
         "NotNested", "NotNested", "InvalidPartition", "NotNested", "NotPrimitive",
+        "NotContained", "NotContained", "NotAPoint",
+        "OutsideDomain", "OutsideDomain", "OutsideDomain", "InvalidGerm",
     ]
 
 
