@@ -163,10 +163,6 @@ class Layer:
                 return False
         return True
 
-    def passes_through(self, p: "Layer") -> bool:
-        """True iff `p` lies on this layer, whose support then lies in p's."""
-        return not self.mask & ~p.mask and self.contains(p)
-
     @property
     def coordinates(self) -> tuple[Fraction, ...]:
         """Torsion coordinates of a 0-dimensional layer."""
@@ -263,7 +259,8 @@ class LayerPoset:
             p = self._own(p)
             table = {0: self.torus}
             for l in self.layers:
-                if l.passes_through(p):
+                # a layer through p has its support inside p's
+                if not l.mask & ~p.mask and l.contains(p):
                     table[l.mask] = l
             return self._flats.setdefault(p, table)
 

@@ -537,7 +537,8 @@ def build_chart(
     `basis_rows` may supply an explicit adapted basis (any order); by
     default one is constructed.
     """
-    members = nested_set.members
+    # the poset's own members, whose supports the checks below read
+    members = tuple(sorted(map(poset._own, nested_set.members), key=Layer.key))
     if nested_set.center.dim != 0:
         raise NotAPoint("charts exist only for maximal nested sets")
     through = poset.flats_at(nested_set.center)
@@ -731,7 +732,7 @@ def chart_for_curve(
         for f in factors(poset, layer, building):
             if f not in collected:
                 collected.append(f)
-    candidates = sorted(building.members_through(p), key=Layer.key)
+    candidates = sorted(building._at(poset, p).members.values(), key=Layer.key)
     n = arr.rank
     for cand in candidates:
         if len(collected) == n:

@@ -279,7 +279,7 @@ def cmd_nested(poset, args):
     else:
         members = building.members
         if restrict is not None:
-            members = building.members_through(restrict)
+            members = building._at(poset, restrict).members.values()
         found = _all_nested(poset, building, members)
         lines.append(f"nested sets ({len(found)}):")
         doc["nested"] = []

@@ -176,23 +176,23 @@ class _Local:
     Among layers through p, containment is reverse inclusion of supports:
     a layer through p is the component through p of the intersection of
     its support's hypersurfaces, and those components are disjoint.  So
-    the members through p are told apart, and compared, by their support
+    the layers through p are told apart, and compared, by their support
     bitmasks alone, and every such support lies inside p's support.  The
-    same masks key the poset's table of all layers through p
-    (`LayerPoset.flats_at`), which is where flatness is looked up.
+    poset's table of the layers through p (`LayerPoset.flats_at`) is kept
+    as `flats`, and a member passes through p iff the table holds it under
+    its mask: `members` maps those masks to them, in building-set order.
     """
 
-    def __init__(self, members, p: Layer):
-        self.point = p
-        self.members = [m for m in members if m.passes_through(p)]
-        self.masks = [m.mask for m in self.members]
-        self.index = {m: k for k, m in enumerate(self.members)}
+    def __init__(self, members, poset: LayerPoset, p: Layer):
+        self.point = poset._own(p)
+        self.flats = poset.flats_at(self.point)
+        self.members = {m.mask: m for m in members if self.flats.get(m.mask) == m}
         self._parts: dict[int, frozenset[int]] = {}
 
     def decomposition(self, flat: int) -> frozenset[int]:
         """Masks of the maximal members whose support lies in the flat."""
         if flat not in self._parts:
-            inside = [s for s in self.masks if not s & ~flat]
+            inside = [s for s in self.members if not s & ~flat]
             self._parts[flat] = frozenset(
                 s for s in inside if not any(s != t and not s & ~t for t in inside)
             )
@@ -207,15 +207,16 @@ class BuildingSet:
     flavor: str  # "irreducible" | "custom"
     _locals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _at(self, p: Layer) -> _Local:
-        """The building set seen from `p`, made once per layer and support."""
-        key = (p, p.mask)
-        if key not in self._locals:
-            self._locals[key] = _Local(self.members, p)
-        return self._locals[key]
+    def _at(self, poset: LayerPoset, p: Layer) -> _Local:
+        """The building set seen from `p`, made once per layer.  A building
+        set's views come from the poset it is used with; layers equal to p
+        but without its support share p's view, made from the poset's p."""
+        if p not in self._locals:
+            self._locals[p] = _Local(self.members, poset, p)
+        return self._locals[p]
 
     def members_through(self, p: Layer) -> list[Layer]:
-        return list(self._at(p).members)
+        return [m for m in self.members if m.contains(p)]
 
     def __contains__(self, layer: Layer) -> bool:
         return layer in self.members
@@ -251,7 +252,8 @@ def custom_building_set(poset: LayerPoset, members) -> BuildingSet:
             raise NotInPoset(f"{m} is not a layer of the arrangement")
     bs = BuildingSet(members, "custom")
     for p in poset.points:
-        table, local = poset.flats_at(p), bs._at(p)
+        local = bs._at(poset, p)
+        table = local.flats
         for mask, layer in table.items():
             if not mask:
                 continue
@@ -273,11 +275,8 @@ def factors(poset: LayerPoset, layer: Layer, building: BuildingSet) -> list[Laye
     """The building-set factors of a layer; their intersection is the layer."""
     if layer not in poset:
         raise NotInPoset(f"{layer} is not a layer of the arrangement")
-    layer = poset._own(layer)
     # factors are the minimal members above the layer, i.e. the ones with
     # maximal support inside the layer's support
-    local = building._at(layer)
-    parts = local.decomposition(layer.mask)
-    return sorted(
-        (m for m, s in zip(local.members, local.masks) if s in parts), key=Layer.key
-    )
+    local = building._at(poset, layer)
+    parts = local.decomposition(local.point.mask)
+    return sorted((local.members[s] for s in parts), key=Layer.key)

@@ -44,13 +44,14 @@ class NestedSet:
             self, "members", tuple(sorted(set(self.members), key=Layer.key))
         )
 
+    # the member order reads `support`, which layer equality ignores
     def __eq__(self, other):
         if not isinstance(other, NestedSet):
             return NotImplemented
-        return self.members == other.members
+        return set(self.members) == set(other.members)
 
     def __hash__(self):
-        return hash(self.members)
+        return hash(frozenset(self.members))
 
     def key(self):
         return tuple(m.key() for m in self.members)
@@ -73,42 +74,42 @@ def is_nested(members, building: BuildingSet, poset: LayerPoset):
             raise NotInBuildingSet(f"{m} is not in the building set")
     if len(members) <= 1:
         return True, Flag(members)
+    masks = [poset._own(m).mask for m in members]
+    union = functools.reduce(operator.or_, masks)
     for p in poset.points:
-        local = building._at(p)
-        chosen = [local.index.get(m) for m in members]
-        if None not in chosen and all(
-            _extends(local, poset, chosen[:k], chosen[k])
-            for k in range(1, len(chosen))
+        # a member through p has its support inside p's
+        if union & ~p.mask:
+            continue
+        local = building._at(poset, p)
+        if all(local.members.get(s) == m for s, m in zip(masks, members)) and all(
+            _extends(local, masks[:k], masks[k]) for k in range(1, len(masks))
         ):
-            return True, _witness_flag(members, poset, p)
+            return True, _witness_flag(local, masks)
     return False, None
 
 
-def _extends(local, poset, chosen, x) -> bool:
-    """Whether the members `chosen` at a point stay nested there with `x` added.
+def _extends(local, chosen, x) -> bool:
+    """Whether the members `chosen` at a point, by mask, stay nested there
+    with the member of mask `x` added.
 
     A set is nested at p iff every antichain of two or more members has a
     flat union of supports whose decomposition is the antichain itself.
     `chosen` is nested already, so only the antichains through x remain.
     """
-    masks = local.masks
-    mx = masks[x]
     # supports of members through one point are comparable iff the members are
-    others = [masks[c] for c in chosen if mx & ~masks[c] and masks[c] & ~mx]
+    others = [c for c in chosen if x & ~c and c & ~x]
     for size in range(1, len(others) + 1):
         for combo in itertools.combinations(others, size):
             if all(a & ~b and b & ~a for a, b in itertools.combinations(combo, 2)):
-                union = functools.reduce(operator.or_, combo, mx)
-                parts = {mx, *combo}
-                # the flat table is made on the first antichain at the point
-                flat = union in poset.flats_at(local.point)
-                if not flat or local.decomposition(union) != parts:
+                union = functools.reduce(operator.or_, combo, x)
+                parts = {x, *combo}
+                if union not in local.flats or local.decomposition(union) != parts:
                     return False
     return True
 
 
-def _nested_sets(local, poset, candidates, size=None):
-    """The nested sets at a point among `candidates` (indices into its
+def _nested_sets(local, candidates, size=None):
+    """The nested sets at a point among `candidates` (masks of its
     members), in lexicographic order, none larger than `size`.
 
     Subsets of a nested set are nested, so a failing prefix is pruned.
@@ -119,7 +120,7 @@ def _nested_sets(local, poset, candidates, size=None):
         if len(chosen) == size:
             return
         for k in range(start, len(candidates)):
-            if _extends(local, poset, chosen, candidates[k]):
+            if _extends(local, chosen, candidates[k]):
                 yield from grow(chosen + (candidates[k],), k + 1)
 
     return grow((), 0)
@@ -138,10 +139,10 @@ def _all_nested(
     position = {m: k for k, m in enumerate(within)}
     found = set()
     for p in poset.points:
-        local = building._at(p)
-        candidates = [k for k, m in enumerate(local.members) if m in position]
-        for chosen in _nested_sets(local, poset, candidates):
-            found.add(tuple(local.members[k] for k in chosen))
+        local = building._at(poset, p)
+        candidates = [s for s, m in local.members.items() if m in position]
+        for chosen in _nested_sets(local, candidates):
+            found.add(tuple(local.members[s] for s in chosen))
     found.discard(())
     return sorted(found, key=lambda s: (len(s), [position[m] for m in s]))
 
@@ -153,22 +154,20 @@ def _connected(members, component: Layer) -> bool:
     return hermite_basis(rows) == component.lattice.basis
 
 
-def _witness_flag(members, poset: LayerPoset, p: Layer) -> Flag:
-    """The components through `p`, maybe one of several, of the intersections
-    left as minimal members are peeled off a family nested at p.  Each union
-    of supports is an antichain's or one member's, a flat at p (`_extends`)."""
-    remaining = list(members)
+def _witness_flag(local, chosen) -> Flag:
+    """The components through the view's point p, maybe one of several, of
+    the intersections left as minimal members are peeled off a family nested
+    at p, given by masks.  Each union of supports is an antichain's or one
+    member's, a flat at p (`_extends`)."""
+    remaining = list(chosen)
     chain = []
     while remaining:
-        union = functools.reduce(operator.or_, (m.mask for m in remaining))
-        layer = poset.flats_at(p)[union]
+        layer = local.flats[functools.reduce(operator.or_, remaining)]
         if not chain or chain[-1] != layer:
             chain.append(layer)
-        # keep the members holding another: through p, o lies in m iff supp m <= supp o
+        # keep the members holding another: through p, t lies in s iff s <= t
         remaining = [
-            m
-            for m in remaining
-            if any(o is not m and not m.mask & ~o.mask for o in remaining)
+            s for s in remaining if any(t != s and not s & ~t for t in remaining)
         ]
     return Flag(tuple(chain))
 
@@ -191,24 +190,21 @@ def enumerate_maximal(
     """All maximal nested sets with center `p`; each has n members."""
     if p.dim != 0:
         raise NotAPoint("maximal nested sets are enumerated per point")
-    p = poset._own(p)
     n = poset.arrangement.rank
-    local = building._at(p)
+    local = building._at(poset, p)
+    p = local.point
     # center p iff the lattices sum to a saturated one; every covering set
     # sums as its minimal members, p or p's parts (`_extends`): test once
     parts = local.decomposition(p.mask)
-    if not _connected([m for m in local.members if m.mask in parts], p):
+    if not _connected([local.members[s] for s in parts], p):
         return []
     out = []
-    for chosen in _nested_sets(local, poset, range(len(local.members)), n):
-        if len(chosen) < n:
-            continue
+    for chosen in _nested_sets(local, list(local.members), n):
         # the center is p iff the flat of the supports is p's
-        union = functools.reduce(operator.or_, (local.masks[k] for k in chosen))
-        if union != p.mask:
+        if len(chosen) < n or functools.reduce(operator.or_, chosen) != p.mask:
             continue
-        members = tuple(sorted((local.members[k] for k in chosen), key=Layer.key))
-        out.append(NestedSet(members, p, _witness_flag(members, poset, p)))
+        members = tuple(local.members[s] for s in chosen)
+        out.append(NestedSet(members, p, _witness_flag(local, chosen)))
     return sorted(out, key=NestedSet.key)
 
 

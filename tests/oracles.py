@@ -627,11 +627,11 @@ def oracle_enumerate_maximal(poset, p, building):
     search, with the center check and the witness flag taken from the
     components of each intersection instead of the poset's flat table."""
     memo = _Memo(poset.arrangement)
-    local = building._at(p)
+    local = building._at(poset, p)
     n = poset.arrangement.rank
     out = []
-    for chosen in _nested_sets(local, poset, range(len(local.members)), n):
-        combo = [local.members[k] for k in chosen]
+    for chosen in _nested_sets(local, list(local.members), n):
+        combo = [local.members[s] for s in chosen]
         if len(chosen) == n and oracle_center_check(memo.arr, combo, p):
             members = tuple(sorted(combo, key=Layer.key))
             out.append(NestedSet(members, p, _witness_flag(members, memo, p)))
@@ -643,16 +643,16 @@ def oracle_connected_maximal(poset, p, building):
     library's search, each tested on its own for a union of supports that
     is p's and a connected intersection (`_connected`), as
     `enumerate_maximal` once did."""
-    local = building._at(p)
+    local = building._at(poset, p)
     n = poset.arrangement.rank
     out = []
-    for chosen in _nested_sets(local, poset, range(len(local.members)), n):
+    for chosen in _nested_sets(local, list(local.members), n):
         if len(chosen) < n:
             continue
         union = 0
-        for k in chosen:
-            union |= local.masks[k]
-        combo = [local.members[k] for k in chosen]
+        for s in chosen:
+            union |= s
+        combo = [local.members[s] for s in chosen]
         if union == p.mask and _connected(combo, p):
             out.append(NestedSet(tuple(combo), p))
     return sorted(out, key=NestedSet.key)

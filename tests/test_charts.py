@@ -419,6 +419,22 @@ class TestBasisPin:
         assert digest.hexdigest() == BASIS_PIN
 
 
+class TestMembersWithoutSupport:
+    def test_c4_charts(self, root_atlases):
+        """A maximal nested set of layers built without `support` gets the
+        chart of the poset's own layers, and keeps its nested set."""
+        fam_atlas = root_atlases["C4"]
+        assert len(fam_atlas) == 1008
+        poset = fam_atlas[0].poset
+        for chart in fam_atlas:
+            members = tuple(Layer(m.lattice, m.values) for m in chart.members)
+            bare = NestedSet(members, chart.center)
+            got = build_chart(poset, bare)
+            assert got.nested_set is bare
+            assert [m.key() for m in got.members] == [m.key() for m in chart.members]
+            assert got.basis == chart.basis and got.constants == chart.constants
+
+
 class TestConstantMember:
     def test_on_hypersurface(self, std_chart):
         got = std_chart.constant_member((1, 1))

@@ -1,7 +1,9 @@
+import contextlib
 import functools
 import itertools
 import operator
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from toricwonder import (
     Flag,
     IsMinimal,
     Layer,
+    NestedSet,
     NotAPoint,
     NotContained,
     NotInBuildingSet,
@@ -19,6 +22,7 @@ from toricwonder import (
     center,
     core,
     custom_building_set,
+    divisor_dim,
     enumerate_all_maximal,
     enumerate_maximal,
     factors,
@@ -334,10 +338,9 @@ class TestIntersectionPath:
             assert _shape(found) == _shape(expected)
             # the union of a nested family's supports is a flat at p, which
             # the center check and the witness read from the flat table
-            table, local = poset.flats_at(p), building._at(p)
-            for chosen in _nested_sets(local, poset, range(len(local.members))):
-                masks = (local.masks[k] for k in chosen)
-                assert functools.reduce(operator.or_, masks, 0) in table
+            table, local = poset.flats_at(p), building._at(poset, p)
+            for chosen in _nested_sets(local, list(local.members)):
+                assert functools.reduce(operator.or_, chosen, 0) in table
             for ns in found:
                 union = functools.reduce(operator.or_, (m.mask for m in ns.members))
                 assert union in table
@@ -466,7 +469,7 @@ class TestLayerWithoutSupport:
     def test_local_view_first(self):
         poset, building, p, bare = self._fresh()
         want = irreducible_layers(poset).members_through(p)
-        building._at(bare)
+        building._at(poset, bare)
         assert building.members_through(p) == want and want
         assert len(enumerate_maximal(poset, p, building)) == 30
 
@@ -482,6 +485,69 @@ class TestLayerWithoutSupport:
             enumerate_maximal(poset, p, building)
         )
 
+    @staticmethod
+    @contextlib.contextmanager
+    def _deadline(seconds=10):
+        """Fail the block, instead of hanging, once it runs for `seconds`."""
+
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_bare_members(self):
+        """`is_nested`, `center` and `divisor_dim` answer for members without
+        support as for the poset's own, nested or not."""
+        poset, building, _, _ = self._fresh()
+        rng = random.Random(5)
+        combos = [s.members for s in enumerate_all_maximal(poset, building)[::6]]
+        combos += [rng.sample(building.members, rng.randint(2, 4)) for _ in range(30)]
+        outcomes = set()
+        for combo in combos:
+            bare = [Layer(m.lattice, m.values) for m in combo]
+            with self._deadline():
+                ok, witness = is_nested(combo, building, poset)
+                bare_ok, bare_witness = is_nested(bare, building, poset)
+                assert bare_ok == ok
+                if ok:
+                    keys = [l.key() for l in witness.chain]
+                    assert [l.key() for l in bare_witness.chain] == keys
+                    want = center(combo, building, poset).key()
+                    assert center(bare, building, poset).key() == want
+                assert divisor_dim(poset, building, bare) == divisor_dim(
+                    poset, building, combo
+                )
+            outcomes.add(ok)
+        assert outcomes == {True, False}
+
+    def test_members_through_bare_point(self):
+        poset, building, p, bare = self._fresh()
+        want = [m for m in building.members if m.contains(p)]
+        assert len(want) == 17
+        assert building.members_through(bare) == want
+        assert building.members_through(p) == want
+        assert list(building._at(poset, bare).members.values()) == want
+        poset, building, p, bare = self._fresh()
+        assert building.members_through(p) == want
+        assert building.members_through(bare) == want
+        assert list(building._at(poset, p).members.values()) == want
+        assert building._at(poset, bare) is building._at(poset, p)
+
+    def test_nested_set_equality_ignores_support(self):
+        poset, building, _, _ = self._fresh()
+        sets = enumerate_all_maximal(poset, building)
+        assert len(sets) == 54
+        for s in sets:
+            bare = NestedSet(tuple(Layer(m.lattice, m.values) for m in s.members), s.center)
+            assert bare == s and hash(bare) == hash(s)
+        assert len(set(sets)) == 54
+
 
 def _mobius_from_bottom(flats):
     """mu(0, f) on the lattice of flats, given as bitmasks."""
@@ -496,12 +562,10 @@ def _check_mobius_at_points(poset, building):
     S nested at p among the members through p other than its factors, the
     empty set included, is (-1)^(k-1) mu(0, supp p) over the flats at p."""
     for p in poset.points:
-        local = building._at(p)
+        local = building._at(poset, p)
         own = set(factors(poset, p, building))
-        candidates = [k for k, m in enumerate(local.members) if m not in own]
-        total = -sum(
-            (-1) ** len(chosen) for chosen in _nested_sets(local, poset, candidates)
-        )
+        candidates = [s for s, m in local.members.items() if m not in own]
+        total = -sum((-1) ** len(chosen) for chosen in _nested_sets(local, candidates))
         mu = _mobius_from_bottom(poset.flats_at(p))
         assert total == (-1) ** (len(own) - 1) * mu[p.mask], p
 
