@@ -16,7 +16,9 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
+from operator import add, mul, truediv
 
 from .errors import (
     InvalidGerm,
@@ -190,7 +192,8 @@ class ChartFunction:
 
     def _at(self, z, values) -> complex:
         """The value at z, given the chart's member character values at z."""
-        return _unit_value(self._flat, z, values)
+        z, values = [[x] for x in z], [[v] for v in values]
+        return _unit_column(self._flat, z, values, 1)[0]
 
 
 def _chain_top(members, indices) -> int | None:
@@ -460,15 +463,30 @@ class Chart:
 
 
 # -- flat evaluation ----------------------------------------------------
-# Every float path of a chart goes through these; the verification sweeps
-# run the monomial and power-product loops inline, in one loop per sample.
-# Each product starts at 1 + 0j and multiplies in index order, as when the
-# sweep pins were made: another order changes the last bits.
+# Every float path of a chart goes through these.  The column helpers
+# evaluate at n points at once, over one list per quantity (a column,
+# entry s at point s): the verification sweeps pass all their samples, and
+# a unit function at one point is n = 1.  Each product starts at its
+# scale, or at 1 + 0j, and multiplies in index order, as when the sweep
+# pins were made: another order changes the last bits.
 
 
 def _sparse(row) -> tuple[tuple[int, int], ...]:
     """The non-zero entries of an integer row as (index, entry) pairs."""
     return tuple((i, x) for i, x in enumerate(row) if x)
+
+
+def _product_column(n: int, start: complex, factors) -> list[complex]:
+    """start times each column of `factors` in turn, entry by entry."""
+    col = [start] * n
+    for f in factors:
+        col = list(map(mul, col, f))
+    return col
+
+
+def _power_columns(cols, row):
+    """The column of cols[i] ** e for each (index, exponent) pair of `row`."""
+    return (cols[i] if e == 1 else [x**e for x in cols[i]] for i, e in row)
 
 
 def _monomials(z, below) -> list[complex]:
@@ -494,19 +512,14 @@ def _power_products(values, rows) -> list[complex]:
     return out
 
 
-def _unit_value(flat, z, values) -> complex:
-    """A unit function at z from its `ChartFunction._flat` terms, given the
-    member character values at z."""
-    total = 0j
+def _unit_column(flat, z, values, n: int) -> list[complex]:
+    """A unit function at n points from its `ChartFunction._flat` terms,
+    given the columns of the coordinates and member character values."""
+    total = [0j] * n
     for scale, monomial, roots, extra in flat:
-        term = scale
-        for i, e in monomial:
-            term *= values[i] if e == 1 else values[i] ** e
-        for i, root in roots:
-            term *= values[i] - root
-        for e in extra:
-            term *= z[e]
-        total += term
+        diffs = ([x - root for x in values[i]] for i, root in roots)
+        parts = chain(_power_columns(values, monomial), diffs, map(z.__getitem__, extra))
+        total = list(map(add, total, _product_column(n, scale, parts)))
     return total
 
 
@@ -807,86 +820,90 @@ def _limit_coordinates(chart: Chart, germ: CurveGerm) -> tuple[complex, ...]:
 # -- verification sweeps ------------------------------------------------
 
 
-def _sample_point(rng, rank: int) -> tuple[complex, ...]:
-    """A random chart point: each coordinate has modulus 0.1 + 0.4 u and
-    angle 2 pi u', with u and then u' drawn from `rng`."""
+def _sample_columns(rng, rank: int, samples: int) -> list[list[complex]]:
+    """Coordinate k of `samples` random chart points, for each k < rank:
+    modulus 0.1 + 0.4 u and angle 2 pi u', with u and then u' drawn from
+    `rng`, coordinate by coordinate and point by point."""
     rnd, exp, two_pi = rng.random, cmath.exp, 2 * cmath.pi
-    return tuple([(0.1 + 0.4 * rnd()) * exp(1j * (two_pi * rnd())) for _ in range(rank)])
+    u = [rnd() for _ in range(2 * rank * samples)]
+    z = [(0.1 + 0.4 * r) * exp(1j * (two_pi * a)) for r, a in zip(u[::2], u[1::2])]
+    return [z[k::rank] for k in range(rank)]
 
 
-def _domain_samples(chart: Chart, rng, samples: int):
-    """(z, coordinate monomial of each member, member character values,
-    torus point) of each of `samples` random chart points whose torus
-    coordinates do not vanish."""
-    members = tuple(zip(chart.below, chart._roots))
-    inv, tol, rank = chart._basis_inv, chart.tolerance, chart.rank
-    for _ in range(samples):
-        z = _sample_point(rng, rank)
-        monos, values = [], []
-        for inside, root in members:
-            mono = 1 + 0j
-            for e in inside:
-                mono *= z[e]
-            value = mono + root
-            if abs(value) <= tol:
-                break
-            monos.append(mono)
-            values.append(value)
-        else:
-            t = []
-            for row in inv:
-                x = 1 + 0j
-                for i, e in row:
-                    x *= values[i] if e == 1 else values[i] ** e
-                t.append(x)
-            yield z, monos, values, t
+def _sample_point(rng, rank: int) -> tuple[complex, ...]:
+    """A random chart point, drawn as by `_sample_columns`."""
+    return tuple(col[0] for col in _sample_columns(rng, rank, 1))
+
+
+def _kept(n: int, tested, tol: float, *groups):
+    """(count, *groups) over the n samples at which no column of `tested`
+    has modulus <= tol."""
+    if all(min(map(abs, col)) > tol for col in tested):
+        return (n, *groups)
+    keep = [
+        s for s, xs in enumerate(zip(*tested)) if not any(abs(x) <= tol for x in xs)
+    ]
+    return (len(keep), *([[col[s] for s in keep] for col in g] for g in groups))
+
+
+def _domain_columns(chart: Chart, rng, samples: int):
+    """(count, z, member monomial, member value, torus point) columns over
+    those of `samples` random chart points whose torus coordinates do not
+    vanish, or None when there is none."""
+    if samples <= 0:
+        return None
+    z = _sample_columns(rng, chart.rank, samples)
+    monos = [
+        _product_column(samples, 1 + 0j, map(z.__getitem__, inside))
+        for inside in chart.below
+    ]
+    values = [[m + root for m in col] for col, root in zip(monos, chart._roots)]
+    n, z, monos, values = _kept(samples, values, chart.tolerance, z, monos, values)
+    if not n:
+        return None
+    t = [
+        _product_column(n, 1 + 0j, _power_columns(values, row))
+        for row in chart._basis_inv
+    ]
+    return n, z, monos, values, t
 
 
 def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
-    """Max relative defect of unit * monomial == character - constant.
-
-    The unit functions are expanded at the first sample in the domain.
-    """
-    worst = 0.0
-    units = None
-    for z, monos, values, t in _domain_samples(chart, rng, samples):
-        if units is None:
-            units = tuple(
-                (f._flat, f.base_member, _sparse(vector), root)
-                for f, vector, root in chart._support_units()
-            )
-        for flat, base, row, root in units:
-            unit = _unit_value(flat, z, values)
-            value = 1 + 0j
-            for i, e in row:
-                value *= t[i] if e == 1 else t[i] ** e
-            rel = abs(unit * monos[base] - (value - root)) / (1 + abs(value))
-            if rel > worst:
-                worst = rel
-    return worst
+    """Max relative defect of unit * monomial == character - constant; the
+    unit functions are expanded only when some sample is in the domain."""
+    cols = _domain_columns(chart, rng, samples)
+    if cols is None:
+        return 0.0
+    n, z, monos, values, t = cols
+    rels = []
+    for f, vector, root in chart._support_units():
+        unit = _unit_column(f._flat, z, values, n)
+        value = _product_column(n, 1 + 0j, _power_columns(t, _sparse(vector)))
+        mono = monos[f.base_member]
+        rels += [
+            abs(u * m - (v - root)) / (1 + abs(v)) for u, m, v in zip(unit, mono, value)
+        ]
+    return max([0.0, *rels])
 
 
 def roundtrip_sweep(chart: Chart, rng, samples: int = 100) -> float:
     """Max relative error of chart -> torus -> chart; samples whose torus
     point sits on a successor's divisor are skipped."""
-    worst = 0.0
-    rows = tuple(zip(chart._basis_sparse, chart._roots))
-    succ, tol = chart.succ, chart.tolerance
-    successors = [j for j in succ if j is not None]
-    for z, _, _, t in _domain_samples(chart, rng, samples):
-        nums = []
-        for row, root in rows:
-            x = 1 + 0j
-            for i, e in row:
-                x *= t[i] if e == 1 else t[i] ** e
-            nums.append(x - root)
-        if any(abs(nums[j]) <= tol for j in successors):
-            continue
-        for a, x, j in zip(z, nums, succ):
-            err = abs(a - (x if j is None else x / nums[j])) / (1 + abs(a))
-            if err > worst:
-                worst = err
-    return worst
+    cols = _domain_columns(chart, rng, samples)
+    if cols is None:
+        return 0.0
+    n, z, _, _, t = cols
+    nums = [
+        [x - root for x in _product_column(n, 1 + 0j, _power_columns(t, row))]
+        for row, root in zip(chart._basis_sparse, chart._roots)
+    ]
+    successors = [nums[j] for j in chart.succ if j is not None]
+    _, z, nums = _kept(n, successors, chart.tolerance, z, nums)
+    errs = []
+    for za, xs, j in zip(z, nums, chart.succ):
+        xs = xs if j is None else list(map(truediv, xs, nums[j]))
+        errs += [abs(a - x) / (1 + abs(a)) for a, x in zip(za, xs)]
+    return max([0.0, *errs])
 
 
 def overlap_sweep(

@@ -291,6 +291,8 @@ def cmd_nested(poset, args):
 
 
 def cmd_charts(poset, args):
+    if args.verify and args.samples < 1:
+        raise ToricError(f"--samples must be at least 1, not {args.samples}")
     building = irreducible_layers(poset)
     charts = atlas(poset, building, tolerance=args.tolerance)
     lines = [f"atlas ({len(charts)} charts):"]

@@ -889,6 +889,11 @@ def _oracle_sample_coordinate(rng) -> complex:
     return r * cmath.exp(1j * theta)
 
 
+def oracle_sample_point(rng, rank):
+    """A random chart point, one coordinate at a time."""
+    return tuple(_oracle_sample_coordinate(rng) for _ in range(rank))
+
+
 def oracle_domain_samples(chart, rng, samples):
     """(z, member character values, torus point) of each of `samples`
     random chart points whose torus coordinates do not vanish; the torus

@@ -56,6 +56,7 @@ from oracles import (
     oracle_peel_expand,
     oracle_residual_sweep,
     oracle_roundtrip_sweep,
+    oracle_sample_point,
     oracle_torus_to_chart,
     oracle_unit_terms,
     oracle_unit_value,
@@ -882,6 +883,60 @@ class TestSweepOracle:
         assert 0 < skipped < reached
         for samples in (1, 7, 100):
             assert_sweeps_match(fam_atlas, f"skip:{tolerance}", samples)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples(self, bench_atlases, samples):
+        """Without samples each sweep returns 0.0 and draws nothing."""
+        for name, (_, fam_atlas) in bench_atlases.items():
+            rng = random.Random(name)
+            state = rng.getstate()
+            for chart in fam_atlas:
+                for sweep, oracle in SWEEPS:
+                    assert sweep(chart, rng, samples) == 0.0
+                    assert oracle(chart, rng, samples) == 0.0
+            assert rng.getstate() == state
+
+    def test_no_sample_in_domain(self, family_atlases, monkeypatch):
+        """A tolerance above every |member character value| puts each
+        sample outside the domain: the sweeps return 0.0 without
+        expanding a unit function, having drawn what the oracle draws."""
+        fam_atlas = [
+            build_chart(c.poset, c.nested_set, tolerance=10.0)
+            for c in family_atlases["B3"][:10]
+        ]
+        for chart in fam_atlas:
+            assert list(oracle_domain_samples(chart, random.Random(1), 100)) == []
+        calls = Counter()
+        unit = Chart.character_unit
+
+        def counted(*args):
+            calls["character_unit"] += 1
+            return unit(*args)
+
+        monkeypatch.setattr(Chart, "character_unit", counted)
+        for samples in (1, 7, 100):
+            rng, ref = random.Random(samples), random.Random(samples)
+            for chart in fam_atlas:
+                for sweep, oracle in SWEEPS:
+                    assert sweep(chart, rng, samples) == oracle(chart, ref, samples) == 0.0
+            assert rng.getstate() == ref.getstate()
+        assert calls["character_unit"] == 0
+
+
+class TestSampleDraw:
+    @pytest.mark.parametrize("rank", range(1, 7))
+    @pytest.mark.parametrize("samples", [1, 7, 100])
+    def test_columns_are_successive_points(self, rank, samples):
+        """The batched draw gives, column by column, the points that
+        successive `_sample_point` calls give, and those of the oracle's
+        one-coordinate-at-a-time draw, leaving the same RNG state."""
+        seed = f"draw:{rank}:{samples}"
+        rng = random.Random(seed)
+        points = list(zip(*charts._sample_columns(rng, rank, samples)))
+        one, ref = random.Random(seed), random.Random(seed)
+        assert points == [charts._sample_point(one, rank) for _ in range(samples)]
+        assert points == [oracle_sample_point(ref, rank) for _ in range(samples)]
+        assert rng.getstate() == one.getstate() == ref.getstate()
 
 
 class TestSweepScale:

@@ -194,6 +194,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_charts_verify_needs_samples(self, two_lines_file, capsys, samples):
+        """A sweep over no samples checks nothing, so it cannot pass; the
+        count matters only with --verify."""
+        code = main(["charts", two_lines_file, "--verify", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --samples must be at least 1, not {samples}\n"
+        assert main(["charts", two_lines_file, "--samples", samples]) == 0
+
     def test_layers_and_irreducible(self, two_lines_file, capsys):
         assert main(["layers", two_lines_file]) == 0
         out = capsys.readouterr().out

@@ -101,6 +101,16 @@ def test_charts_verify_same_stdout():
     assert stripped.stdout == plain.stdout
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_charts_verify_needs_samples(optimize, samples):
+    argv = ("charts", "examples_data/two_lines.arr", "--verify", "--samples", samples)
+    proc = run("-m", "toricwonder.cli", *argv, optimize=optimize)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: --samples must be at least 1, not {samples}\n"
+
+
 # chart cases that end in a typed error; the building sets are made
 # without validation, as a caller may make them
 CHART_CASES = """
