@@ -297,17 +297,31 @@ class LayerPoset:
 
 
 def build_poset(arr: Arrangement) -> LayerPoset:
-    """All layers: the ambient torus closed under intersection with the
-    hypersurfaces.
+    """All layers, each made once: the ambient torus closed under
+    intersection with the hypersurfaces, by reverse search (Avis and
+    Fukuda, Discrete Appl. Math. 65, 1996) from canonical parents.
 
-    For each i in A, a component of X_A is a component of L cap H_i, where
-    L is the component of X_{A - i} holding it.  The walk starts from the
-    ambient torus (lattice 0), which is not a layer, and carries each
-    layer L of rank r with one of its points phi (integer numerators over
-    one denominator), a frame (K, C) and every chi in A restricted to
-    a = chi K^T.  The n - r rows of K are a basis of the integer vectors
-    orthogonal to L's lattice, so t -> phi + t K parametrizes L, and
-    C K^T = I.
+    With each layer L the walk carries last(L), the least index k such
+    that the characters of supp L with index <= k span L's lattice
+    rationally; it is -1 on the ambient torus (lattice 0), where the walk
+    starts, which is not a layer.  A translate X of a cut of L lies on
+    the characters of supp L and on those of its list `on`, in index
+    order; it is kept only if on[0] > last(L), and then last(X) = on[0].
+    This makes each layer exactly once.  Let b_1 < ... < b_r be the greedy
+    basis of S = supp X in index order and G = sat(span(b_1 .. b_{r-1})).
+    The component P of X_{S cap G} through X is a layer, and S cap G,
+    which spans G, is its support; P reaches X through the class of
+    b_r = min(S - G) > last(P), so X is kept from P.  An upper cover Y
+    that keeps X holds every character of S below last(X) = min(S - supp Y),
+    and they span Y's lattice, so Y's lattice is G and Y = P; in P, X is
+    one translate of one cut.  A cut with no kept translate is skipped
+    before its column reduction and Hermite form.
+
+    Each layer L of rank r comes with one of its points phi (integer
+    numerators over one denominator), a frame (K, C) and every chi in A
+    restricted to a = chi K^T.  The n - r rows of K are a basis of the
+    integer vectors orthogonal to L's lattice, so t -> phi + t K
+    parametrizes L, and C K^T = I.
 
     - On L, chi takes the value chi(phi) + a t.  If a = 0, chi is constant
       on L, and H_i = {chi = c} contains L or misses it.
@@ -315,8 +329,7 @@ def build_poset(arr: Arrangement) -> LayerPoset:
       of the primitive a' = a / g is positive.  L cap H_i is the |g|
       disjoint translates a' t = (c - chi(phi) + j) / g, j = 0 .. |g| - 1,
       of the subtorus a' t = 0, connected as a' is primitive.  The
-      characters whose a' agree up to sign cut L along the same subtori;
-      besides L's support, only they can contain the new layers.
+      characters whose a' agree up to sign cut L along the same subtori.
     - `column_reduction` gives V unimodular with a' V = e_1, and W = V^-1,
       whose first row is a'.  With u = V[:, 0], a' u = 1, so the j-th
       translate holds the point phi + ((c - chi(phi) + j) / g) u K.
@@ -324,7 +337,7 @@ def build_poset(arr: Arrangement) -> LayerPoset:
       Then (mu - k a' C) K^T = 0, so mu - k a' C lies in L's lattice,
       which is saturated.  So the new lattice is L's lattice plus
       Z a' C = Z W[0] C, saturated with no further work; one Hermite form
-      per (layer, a') makes its canonical basis.
+      per cut makes its canonical basis.
     - The t with a' t = 0 are spanned by V[:, 1:], so the new layers of
       one cut share the frame K' = V[:, 1:]^T K and C' = W[1:] C, for
       C' K'^T = W[1:] V[:, 1:] = I, and the restricted characters
@@ -332,13 +345,11 @@ def build_poset(arr: Arrangement) -> LayerPoset:
     """
     n = arr.rank
     eye = identity_matrix(n)
-    # each layer by its lattice basis and its values as integer numerators
-    # over their least common denominator
-    found: dict = {}
-    # (layer, point numerators, their denominator, K, C, a_chi for each chi)
-    work = [(Layer(Sublattice.zero(n), ()), (0,) * n, 1, eye, eye, arr.vectors)]
+    layers = []
+    # (layer, last, point numerators, their denominator, K, C, a_chi per chi)
+    work = [(Layer(Sublattice.zero(n), ()), -1, (0,) * n, 1, eye, eye, arr.vectors)]
     while work:
-        layer, num, den, kernel, complement, restricted = work.pop()
+        layer, last, num, den, kernel, complement, restricted = work.pop()
         cuts = {}
         for i, a in enumerate(restricted):
             if any(a):
@@ -359,43 +370,38 @@ def build_poset(arr: Arrangement) -> LayerPoset:
                     s = (base + j * scale) * (1 if g > 0 else -1) % s_den
                     r = gcd(s, s_den)
                     translates.setdefault((s // r, s_den // r), []).append(i)
+            kept = [(shift, on) for shift, on in translates.items() if on[0] > last]
+            if not kept:
+                continue
             v, w = column_reduction(prim)
             lattice = Sublattice.from_rows(
                 n, layer.lattice.basis + (vec_mat(prim, complement),)
             )
             step = vec_mat([row[0] for row in v], kernel)
-            frame = None
-            for (s, s_den), on in translates.items():
+            if layer.dim > 1:
+                # the children have dimension layer.dim - 1 and share a frame
+                rest = tuple(row[1:] for row in v)
+                frame = (
+                    mat_mul(tuple(zip(*rest)), kernel),
+                    mat_mul(w[1:], complement),
+                    mat_mul(restricted, rest),
+                )
+            for (s, s_den), on in kept:
                 # the point phi + (s / s_den) u K, over one denominator
                 new_den = lcm(den, s_den)
                 up, shift = new_den // den, s * (new_den // s_den)
                 point = [(p * up + shift * t) % new_den for p, t in zip(num, step)]
                 r = gcd(new_den, *point)
                 point, new_den = tuple(p // r for p in point), new_den // r
-                values = [
-                    sum(x * y for x, y in zip(row, point)) % new_den
+                values = tuple(
+                    Fraction(sum(x * y for x, y in zip(row, point)) % new_den, new_den)
                     for row in lattice.basis
-                ]
-                r = gcd(new_den, *values)
-                values, value_den = tuple(x // r for x in values), new_den // r
-                key = (lattice.basis, value_den, values)
-                if key in found:
-                    continue
-                support = tuple(sorted(layer.support + tuple(on)))
-                new = Layer(
-                    lattice, tuple(Fraction(x, value_den) for x in values), support
                 )
-                found[key] = new
+                new = Layer(lattice, values, tuple(sorted(layer.support + tuple(on))))
+                layers.append(new)
                 if new.dim:
-                    if frame is None:
-                        rest = tuple(row[1:] for row in v)
-                        frame = (
-                            mat_mul(tuple(zip(*rest)), kernel),
-                            mat_mul(w[1:], complement),
-                            mat_mul(restricted, rest),
-                        )
-                    work.append((new, point, new_den, *frame))
-    return LayerPoset(arr, tuple(sorted(found.values(), key=Layer.key)))
+                    work.append((new, on[0], point, new_den, *frame))
+    return LayerPoset(arr, tuple(sorted(layers, key=Layer.key)))
 
 
 def points(arr: Arrangement) -> list[Layer]:

@@ -56,9 +56,9 @@ def parse_file(path: str, no_normalize: bool = False) -> tuple[Arrangement, str]
     name = ""
     raw = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
@@ -125,10 +125,6 @@ def parse_file(path: str, no_normalize: bool = False) -> tuple[Arrangement, str]
 # -- formatting ---------------------------------------------------------
 
 
-def fmt_frac(q: Fraction) -> str:
-    return str(q)
-
-
 def fmt_vec(v) -> str:
     return "[" + ", ".join(str(x) for x in v) + "]"
 
@@ -139,7 +135,7 @@ def fmt_complex(z: complex) -> str:
 
 def layer_text(layer) -> str:
     rows = "; ".join(fmt_vec(r) for r in layer.lattice.basis)
-    vals = ", ".join(fmt_frac(v) for v in layer.values)
+    vals = ", ".join(map(str, layer.values))
     supp = ", ".join(str(i) for i in layer.support)
     return f"(rows=[{rows}]; values=[{vals}]; dim={layer.dim}; support=[{supp}])"
 
@@ -160,7 +156,7 @@ def header(arr: Arrangement, name: str, poset) -> tuple[list[str], dict]:
     lines.append(f"rank: {arr.rank}")
     lines.append(f"characters ({len(arr.characters)}):")
     for i, ch in enumerate(arr.characters):
-        lines.append(f"  X{i}: {fmt_vec(ch.vector)} ; {fmt_frac(ch.value)}")
+        lines.append(f"  X{i}: {fmt_vec(ch.vector)} ; {ch.value}")
     lines.append(f"layer IDs (canonical order, {len(poset.layers)} layers):")
     for i, layer in enumerate(poset.layers):
         lines.append(f"  L{i}: {layer_text(layer)}")
@@ -216,7 +212,7 @@ def cmd_points(poset, args):
     lines = [f"points ({len(pts)}):"]
     doc = []
     for p in pts:
-        coords = ", ".join(fmt_frac(v) for v in p.coordinates)
+        coords = ", ".join(map(str, p.coordinates))
         lines.append(f"  {_lid(poset, p)}: ({coords}) support={list(p.support)}")
         doc.append(
             {
@@ -307,34 +303,29 @@ def cmd_charts(poset, args):
         ids = ", ".join(entry["members"])
         lines.append(f"  chart {k}: members={{{ids}}} center={entry['center']}")
         for lid, row, a in zip(entry["members"], chart.basis, chart.constants):
-            lines.append(f"    {lid}: basis={fmt_vec(row)} constant={fmt_frac(a)}")
-    status = 0
-    verify_doc = None
-    if args.verify:
-        rng = random.Random(args.seed)
-        worst_res = 0.0
-        worst_rt = 0.0
-        for chart in charts:
-            worst_res = max(worst_res, residual_sweep(chart, rng, args.samples))
-            worst_rt = max(worst_rt, roundtrip_sweep(chart, rng, args.samples))
-        ok = worst_res <= args.tolerance and worst_rt <= args.tolerance
-        lines.append(
-            f"verification: max residual {worst_res:.3e}, "
-            f"max roundtrip {worst_rt:.3e}, tolerance {args.tolerance:.1e} -> "
-            + ("PASS" if ok else "FAIL")
-        )
-        verify_doc = {
-            "max_residual": worst_res,
-            "max_roundtrip": worst_rt,
-            "tolerance": args.tolerance,
-            "pass": ok,
-        }
-        if not ok:
-            status = 2
+            lines.append(f"    {lid}: basis={fmt_vec(row)} constant={a}")
     out = {"charts": doc}
-    if verify_doc is not None:
-        out["verification"] = verify_doc
-    return lines, out, status
+    if not args.verify:
+        return lines, out, 0
+    rng = random.Random(args.seed)
+    worst_res = 0.0
+    worst_rt = 0.0
+    for chart in charts:
+        worst_res = max(worst_res, residual_sweep(chart, rng, args.samples))
+        worst_rt = max(worst_rt, roundtrip_sweep(chart, rng, args.samples))
+    ok = worst_res <= args.tolerance and worst_rt <= args.tolerance
+    lines.append(
+        f"verification: max residual {worst_res:.3e}, "
+        f"max roundtrip {worst_rt:.3e}, tolerance {args.tolerance:.1e} -> "
+        + ("PASS" if ok else "FAIL")
+    )
+    out["verification"] = {
+        "max_residual": worst_res,
+        "max_roundtrip": worst_rt,
+        "tolerance": args.tolerance,
+        "pass": ok,
+    }
+    return lines, out, 0 if ok else 2
 
 
 def cmd_divisor(poset, args):
@@ -413,6 +404,9 @@ def main(argv=None) -> int:
         return 1
     args = build_parser().parse_args(argv)
     try:
+        # nan fails both comparisons; inf would pass a sweep that checked nothing
+        if args.command in ("charts", "curve") and not 0 < args.tolerance < float("inf"):
+            raise ToricError(f"--tolerance must be finite and > 0, not {args.tolerance}")
         arr, name = parse_file(args.file, no_normalize=args.no_normalize)
         poset = build_poset(arr)
         head_lines, head_doc = header(arr, name, poset)

@@ -689,16 +689,21 @@ def random_vectors(rng: random.Random, rank=None, count=None):
     return out
 
 
-def random_arrangement(rng: random.Random, rank=None, count=None) -> Arrangement:
+def random_arrangement(
+    rng: random.Random, rank=None, count=None, entry=2, denominator=4
+) -> Arrangement:
+    """`count` characters with entries in -entry..entry and constants with
+    denominators up to `denominator`; `normalize` splits the non-primitive
+    ones, and a draw whose characters do not span is drawn again."""
     rank = rank or rng.randint(1, 3)
     count = count or rng.randint(rank, 5)
     while True:
         raw = []
         for _ in range(count):
-            v = tuple(rng.randint(-2, 2) for _ in range(rank))
+            v = tuple(rng.randint(-entry, entry) for _ in range(rank))
             if not any(v):
                 v = tuple(int(i == 0) for i in range(rank))
-            q = rng.randint(1, 4)
+            q = rng.randint(1, denominator)
             raw.append((v, Fraction(rng.randrange(q), q)))
         try:
             return normalize(rank, raw)

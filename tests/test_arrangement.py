@@ -204,6 +204,22 @@ class TestPosetOracle:
         expected = oracle_frame_walk(poset.arrangement)
         assert [l.key() for l in poset.layers] == [l.key() for l in expected]
 
+    def test_random_match_frame_walk(self):
+        """150 seeded random arrangements of ranks 1-4, entries in -3..3 and
+        constants with denominators up to 6: the canonical-parent walk
+        makes the layers of the walk that dedupes every layer it reaches."""
+        rng = random.Random(22)
+        split = 0
+        for k in range(150):
+            rank = 1 + k % 4
+            count = rng.randint(rank, rank + 2)
+            arr = random_arrangement(rng, rank, count, entry=3, denominator=6)
+            # `normalize` splits a non-primitive character into components
+            split += len(arr.characters) > count
+            got = [l.key() for l in build_poset(arr).layers]
+            assert got == [l.key() for l in oracle_frame_walk(arr)], k
+        assert split >= 40
+
     def test_a5_layer_count(self):
         poset = build_poset(root_system("A", 5))
         assert len(poset.arrangement.characters) == 15
@@ -211,40 +227,51 @@ class TestPosetOracle:
         assert len(poset.points) == 1
 
 
+def counted_poset(monkeypatch, arr):
+    """`build_poset(arr)` and its calls of four lattice routines."""
+    calls = {"smith": 0, "express": 0, "hermite": 0, "reduction": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    # `arrangement` holds its own references to the functions it imports
+    for name, attr in [
+        ("smith", "smith_normal_form"),
+        ("express", "express_in_rows"),
+        ("hermite", "hermite_normal_form"),
+        ("reduction", "column_reduction"),
+    ]:
+        wrapped = counted(name, getattr(lattices, attr))
+        monkeypatch.setattr(lattices, attr, wrapped)
+        monkeypatch.setattr(arrangement, attr, wrapped, raising=False)
+    return build_poset(arr), calls
+
+
 class TestPosetScale:
     @pytest.mark.parametrize(
         "kind, rank, count, cuts",
-        [("C", 3, 48, 85), ("B", 4, 160, 484)],
+        [("C", 3, 48, 35), ("B", 4, 160, 160)],
         ids=["C3", "B4"],
     )
     def test_no_smith_form(self, monkeypatch, kind, rank, count, cuts):
-        arr = root_system(kind, rank)
-        calls = {"smith": 0, "express": 0, "hermite": 0, "reduction": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        # `arrangement` holds its own references to the functions it imports
-        for name, attr in [
-            ("smith", "smith_normal_form"),
-            ("express", "express_in_rows"),
-            ("hermite", "hermite_normal_form"),
-            ("reduction", "column_reduction"),
-        ]:
-            wrapped = counted(name, getattr(lattices, attr))
-            monkeypatch.setattr(lattices, attr, wrapped)
-            monkeypatch.setattr(arrangement, attr, wrapped, raising=False)
-        poset = build_poset(arr)
+        poset, calls = counted_poset(monkeypatch, root_system(kind, rank))
         assert len(poset.layers) == count
         # each layer carries its frame from its parent: no Smith form and no
         # unimodular solve; one column reduction and one Hermite form (the
-        # canonical basis of the new lattice) per (layer, cut direction)
+        # canonical basis of the new lattice) per cut with a canonical child
         assert calls["smith"] == calls["express"] == 0
         assert calls["hermite"] == calls["reduction"] == cuts
+
+    @pytest.mark.parametrize("case", ORACLE_CASES + RANK_FOUR_CASES)
+    def test_cuts_within_layers(self, monkeypatch, case):
+        """Each layer is made once, from its canonical parent, and a cut is
+        paid for only if it makes a layer: no more cuts than layers."""
+        poset, calls = counted_poset(monkeypatch, case_arrangement(case))
+        assert calls["hermite"] == calls["reduction"] <= len(poset.layers)
 
     def test_b4_layer_count(self):
         poset = build_poset(root_system("B", 4))

@@ -205,6 +205,23 @@ class TestCommands:
         assert captured.err == f"error: --samples must be at least 1, not {samples}\n"
         assert main(["charts", two_lines_file, "--samples", samples]) == 0
 
+    @pytest.mark.parametrize(
+        "command",
+        [["charts", "--verify"], ["curve", "--point", "L2", "--jets", "1,1;1,0"]],
+        ids=["charts", "curve"],
+    )
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
+    def test_tolerance_finite_positive(self, two_lines_file, capsys, command, tolerance):
+        """An infinite tolerance would pass every sweep unchecked, and nan or
+        one <= 0 would fail every one."""
+        argv = [command[0], two_lines_file, *command[1:], "--tolerance", tolerance]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        shown = float(tolerance)
+        assert captured.err == f"error: --tolerance must be finite and > 0, not {shown}\n"
+
     def test_layers_and_irreducible(self, two_lines_file, capsys):
         assert main(["layers", two_lines_file]) == 0
         out = capsys.readouterr().out
@@ -266,6 +283,16 @@ class TestCommands:
 
     def test_missing_file(self, capsys):
         assert main(["points", "/nonexistent.arr"]) == 1
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.arr"
+        path.write_bytes(TWO_LINES.encode() + b"# caf\xe9\n")
+        with pytest.raises(ParseError, match="can't decode byte 0xe9"):
+            parse_file(str(path))
+        assert main(["points", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
 
 
 class TestDeterminism:

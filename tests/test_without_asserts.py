@@ -111,6 +111,32 @@ def test_charts_verify_needs_samples(optimize, samples):
     assert proc.stderr == f"error: --samples must be at least 1, not {samples}\n"
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
+def test_tolerance_finite_positive(optimize, tolerance):
+    for argv in (
+        ("charts", "examples_data/two_lines.arr", "--verify"),
+        ("curve", "examples_data/two_lines.arr", "--point", "L2", "--jets", "1,1;1,0"),
+    ):
+        argv += ("--tolerance", tolerance)
+        proc = run("-m", "toricwonder.cli", *argv, optimize=optimize)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        shown = float(tolerance)
+        assert proc.stderr == f"error: --tolerance must be finite and > 0, not {shown}\n"
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_not_utf8(optimize, tmp_path):
+    path = tmp_path / "bad.arr"
+    path.write_bytes(b"rank = 1\nchar = [1] ; 0 # \xff\n")
+    proc = run("-m", "toricwonder.cli", "points", str(path), optimize=optimize)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot read {path}: 'utf-8' codec")
+    assert "Traceback" not in proc.stderr
+
+
 # chart cases that end in a typed error; the building sets are made
 # without validation, as a caller may make them
 CHART_CASES = """
