@@ -151,49 +151,48 @@ class BetaTerm:
     linear: tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True, slots=True)
 class ChartFunction:
     """The unit factor of (character - constant) in chart coordinates.
 
     On the dense open part of the chart it equals
     (character - constant) / prod of the coordinates below `base_member`;
     it extends regularly over the divisor and is nonzero at 0.
+
+    `_flat` has, per term: scale, monomial, (index, root) of each linear
+    factor and the coordinates below its member but not below base_member.
+    It is made from `terms`, or given with no `terms`, which `Chart._expand`
+    then makes when they are first read.
     """
 
-    chart: "Chart"
-    vector: Vector
-    value: Fraction
-    base_member: int
-    terms: tuple[BetaTerm, ...]
-    # per term: scale, monomial, (index, root) of each linear factor, and the
-    # coordinates below its member but not below base_member; the roots of
-    # unity are computed once, when the function is made
-    _flat: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("chart", "vector", "value", "base_member", "_terms", "_flat")
 
-    def __post_init__(self):
-        below = self.chart.below
-        base_below = set(below[self.base_member])
-        object.__setattr__(
-            self,
-            "_flat",
-            tuple(
+    def __init__(self, chart, vector, value, base_member, terms=None, flat=None):
+        self.chart, self.vector, self.value = chart, vector, value
+        self.base_member, self._terms = base_member, terms
+        if flat is None:
+            flat = tuple(
                 (
                     term.sign * unit_root(term.angle),
                     term.monomial,
                     tuple((idx, unit_root(a)) for idx, a in term.linear),
-                    tuple(e for e in below[term.member] if e not in base_below),
+                    chart._extra(term.member, base_member),
                 )
-                for term in self.terms
-            ),
-        )
+                for term in terms
+            )
+        self._flat = flat
+
+    @property
+    def terms(self) -> tuple[BetaTerm, ...]:
+        if self._terms is None:
+            self._terms = self.chart._beta_terms(self.vector)
+        return self._terms
 
     def __call__(self, z) -> complex:
         return self._at(z, self.chart.member_character_values(z))
 
     def _at(self, z, values) -> complex:
         """The value at z, given the chart's member character values at z."""
-        z, values = [[x] for x in z], [[v] for v in values]
-        return _unit_column(self._flat, z, values, 1)[0]
+        return _unit_at(self._flat, z, values)
 
 
 def _chain_top(members, indices) -> int | None:
@@ -223,13 +222,16 @@ class Chart:
     below: tuple[tuple[int, ...], ...] = field(init=False)
     succ: tuple[int | None, ...] = field(init=False)
     _roots: tuple[complex, ...] = field(init=False)  # unit_root of each constant
-    _above: tuple[tuple[int, ...], ...] = field(init=False)
+    _above: tuple[int, ...] = field(init=False)  # bit j: member j contains member i
     # row j of the inverse basis as (member, exponent) pairs: the exponents of
     # the member character values in torus coordinate j
     _basis_inv: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
     _basis_sparse: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
+    _angles: tuple[int, tuple[int, ...]] = field(init=False)  # constants over one den
     _functions: dict = field(init=False, default_factory=dict)
     _units: tuple | None = field(init=False, default=None)
+    _peels: dict = field(init=False, repr=False)  # `_expand`'s steps by support mask
+    _root_table: dict = field(init=False, repr=False, default_factory=dict)  # by (k, d)
 
     def __post_init__(self):
         # first, so that a basis that is not unimodular fails before any other check
@@ -238,19 +240,24 @@ class Chart:
         phi = self.point_coordinates
         self.constants = tuple(pairing(row, phi) for row in self.basis)
         self._roots = tuple(unit_root(a) for a in self.constants)
+        den = lcm(*(a.denominator for a in self.constants))
+        self._angles = den, tuple(a.numerator * (den // a.denominator) for a in self.constants)
         # all members pass through the center, where c contains d iff supp c <= supp d
         masks = [m.mask for m in self.members]
         self.below = tuple(
             tuple(j for j, d in enumerate(masks) if not c & ~d) for c in masks
         )
         self._above = tuple(
-            tuple(j for j, inside in enumerate(self.below) if i in inside)
+            sum(1 << j for j, inside in enumerate(self.below) if i in inside)
             for i in range(self.rank)
         )
         self.succ = tuple(
             _chain_top(self.members, [j for j in inside if j != i])
             for i, inside in enumerate(self.below)
         )
+        # `_peel_steps` reads only `_above`, so the charts with the same one
+        # share one table of them, kept beside `build_chart`'s peel steps
+        self._peels = self.poset._peels.setdefault(self._above, {})
 
     @property
     def center(self) -> Layer:
@@ -314,24 +321,28 @@ class Chart:
 
     def constant_member(self, vector) -> Layer | None:
         """The largest member on which the character matches its value at p."""
-        c = self._top_constant(self._coefficients(self._sized(vector, "character")))
+        coeffs = self._coefficients(self._sized(vector, "character"))
+        c = self._top_constant(_support_mask(coeffs))
         return None if c is None else self.members[c]
 
-    def _top_constant(self, coeffs) -> int | None:
-        """The largest member on which the character with these chart-basis
-        coefficients is constant.  Adaptedness makes each member's lattice the
-        span of the basis vectors of the members containing it, so these are
-        the members whose `_above` covers the coefficient support; all of
-        them hold the center, so the constant is the value at p."""
-        support = {j for j, x in enumerate(coeffs) if x}
-        inside = [i for i, up in enumerate(self._above) if support.issubset(up)]
+    def _top_constant(self, mask: int) -> int | None:
+        """The largest member on which a character whose chart-basis
+        coefficients have support `mask` is constant.  Adaptedness makes each
+        member's lattice the span of the basis vectors of the members
+        containing it, so these are the members whose `_above` covers `mask`;
+        all of them hold the center, so the constant is the value at p."""
+        inside = [i for i, up in enumerate(self._above) if not mask & ~up]
         return _chain_top(self.members, inside)
 
     def character_unit(self, vector, value: Fraction) -> ChartFunction:
-        key = (tuple(self._sized(vector, "character")), mod1(Fraction(value)))
-        if key not in self._functions:
-            self._functions[key] = self._expand(*key)
-        return self._functions[key]
+        vector = tuple(self._sized(vector, "character"))
+        if not (isinstance(value, Fraction) and 0 <= value.numerator < value.denominator):
+            value = mod1(value)  # the arrangement's values are reduced already
+        key = (vector, value.numerator, value.denominator)
+        f = self._functions.get(key)
+        if f is None:
+            f = self._functions[key] = self._expand(vector, value)
+        return f
 
     def _expand(self, vector, value) -> ChartFunction:
         """Telescope character - constant over the chart basis.
@@ -355,75 +366,109 @@ class Chart:
         k = |m_b|.  It is non-zero iff the base coefficient m_b is, which
         is checked here exactly.
 
-        The angles are summed as integer numerators over the constants'
-        common denominator `den`, as in `pairing`; only the angles of the
-        terms are made into `Fraction`s.
+        No `Fraction` is made here: the angles are integer numerators over
+        the constants' common denominator, with roots from `_root`.  The
+        members each step peels depend only on which coefficients are
+        non-zero, so `_peels` keeps them by that mask (`_peel_steps`).
         """
-        if pairing(vector, self.point_coordinates) != value:
-            raise OutsideDomain(
-                "the character does not pass through the chart center"
-            )
+        den, nums = self._angles
         coeffs = self._coefficients(vector)
-        den = lcm(*(a.denominator for a in self.constants))
-        nums = [a.numerator * (den // a.denominator) for a in self.constants]
-        terms = []
-        pref = 0
-        base = None
-        while any(coeffs):
-            c = self._top_constant(coeffs)
-            if c is None:
-                raise NotExpandable(
-                    f"character {list(vector)} is constant on no member of the chart"
-                )
-            if base is None:
-                base = c
-            elif coeffs[c] == 0:
-                # any member left with a non-zero coefficient contains the base
-                c = next(j for j in self._above[base] if coeffs[j])
-            m_c = coeffs[c]
-            if m_c == 0:
-                raise NotExpandable(
-                    f"character {list(vector)} has no component on the basis "
-                    f"vector of member {c}, its largest constant member"
-                )
-            monomial = [
-                (j, coeffs[j]) for j in self._above[base] if j != c and coeffs[j]
-            ]
-            sign = 1
-            angle = pref
-            k = abs(m_c)
-            if m_c < 0:
-                sign = -1
-                monomial.append((c, m_c))
-                angle += m_c * nums[c]
-            # the roots zeta_c omega^j: constant + j/k over den * k
-            linear = tuple(
-                (c, Fraction((nums[c] * k + j * den) % (den * k), den * k))
-                for j in range(1, k)
-            )
-            terms.append(
-                BetaTerm(c, sign, Fraction(angle % den, den), tuple(monomial), linear)
-            )
-            pref += m_c * nums[c]
-            coeffs[c] = 0
-        if base is None:
+        at_p = sum(map(mul, coeffs, nums))
+        if (at_p * value.denominator - value.numerator * den) % (den * value.denominator):
+            raise OutsideDomain("the character does not pass through the chart center")
+        mask = _support_mask(coeffs)
+        peel = self._peels.get(mask)
+        if peel is None:
+            peel = self._peels[mask] = self._peel_steps(mask, vector)
+        base, steps = peel
+        root = self._root
+        flat = tuple(
+            (sign * root(angle, den), monomial, _linear(c, nums[c], den, k, root), extra)
+            for c, sign, angle, monomial, k, extra in self._term_forms(coeffs, steps)
+        )
+        return ChartFunction(self, vector, value, base, flat=flat)
+
+    def _peel_steps(self, mask: int, vector):
+        """(base, steps) of `_expand` for the coefficient support `mask`: per
+        step, the member peeled, its monomial's members and `_extra`."""
+        if not mask:
             raise NotExpandable("the trivial character has no unit function")
-        return ChartFunction(self, tuple(vector), value, base, tuple(terms))
+        base = c = self._top_constant(mask)
+        if base is None:
+            raise NotExpandable(
+                f"character {list(vector)} is constant on no member of the chart"
+            )
+        if not mask >> base & 1:
+            raise NotExpandable(
+                f"character {list(vector)} has no component on the basis "
+                f"vector of member {base}, its largest constant member"
+            )
+        steps = []
+        while mask:
+            if steps:
+                c = self._top_constant(mask)
+                if not mask >> c & 1:
+                    # the first member left: all of them contain the base
+                    c = (mask & -mask).bit_length() - 1
+            mask &= ~(1 << c)
+            mono = tuple(j for j in range(self.rank) if mask >> j & 1)
+            steps.append((c, mono, self._extra(c, base)))
+        return base, tuple(steps)
+
+    def _term_forms(self, coeffs, steps):
+        """Per peel step of `_expand`: member c, sign, angle numerator over
+        `_angles`' den, monomial, k = |m_c| and `_extra`."""
+        den, nums = self._angles
+        pref = 0
+        for c, mono, extra in steps:
+            m_c = coeffs[c]
+            monomial = tuple((j, coeffs[j]) for j in mono)
+            sign, angle, k = 1, pref, abs(m_c)
+            if m_c < 0:
+                sign, angle = -1, angle + m_c * nums[c]
+                monomial += ((c, m_c),)
+            pref += m_c * nums[c]
+            yield c, sign, angle % den, monomial, k, extra
+
+    def _beta_terms(self, vector) -> tuple[BetaTerm, ...]:
+        """The terms of `_expand` as `BetaTerm`s, with `Fraction` angles."""
+        den, nums = self._angles
+        coeffs = self._coefficients(vector)
+        _, steps = self._peels[_support_mask(coeffs)]
+        return tuple(
+            BetaTerm(c, sign, Fraction(angle, den), monomial, _linear(c, nums[c], den, k, Fraction))
+            for c, sign, angle, monomial, k, _ in self._term_forms(coeffs, steps)
+        )
+
+    def _extra(self, member: int, base: int) -> tuple[int, ...]:
+        """The coordinates below `member` but not below `base`."""
+        return tuple(e for e in self.below[member] if e not in self.below[base])
+
+    def _root(self, k: int, d: int) -> complex:
+        """unit_root(Fraction(k, d)), from the chart's table (int / int is
+        correctly rounded, so k / d is float(Fraction(k, d)))."""
+        if (root := self._root_table.get((k, d))) is None:
+            root = self._root_table[k, d] = cmath.exp(2j * cmath.pi * (k / d))
+        return root
 
     def _support_units(self):
-        """(unit function, vector, root of its constant) for each character
+        """(unit function, sparse row, root of its constant) of each character
         through the center, in support order; made on the first call."""
         if self._units is None:
             chars = self.poset.arrangement.characters
             self._units = tuple(
-                (self.character_unit(c.vector, c.value), c.vector, unit_root(c.value))
+                (
+                    self.character_unit(c.vector, c.value),
+                    _sparse(c.vector),
+                    self._root(c.value.numerator, c.value.denominator),
+                )
                 for c in (chars[i] for i in self.point_support())
             )
         return self._units
 
     def below_inverse(self, i) -> tuple[int, ...]:
         """Indices of members containing member i (including itself)."""
-        return self._above[i]
+        return tuple(j for j in range(self.rank) if self._above[i] >> j & 1)
 
     # -- membership -----------------------------------------------------
 
@@ -465,10 +510,15 @@ class Chart:
 # -- flat evaluation ----------------------------------------------------
 # Every float path of a chart goes through these.  The column helpers
 # evaluate at n points at once, over one list per quantity (a column,
-# entry s at point s): the verification sweeps pass all their samples, and
-# a unit function at one point is n = 1.  Each product starts at its
-# scale, or at 1 + 0j, and multiplies in index order, as when the sweep
-# pins were made: another order changes the last bits.
+# entry s at point s), for the verification sweeps; the scalar ones serve
+# one point.  Each product starts at its scale, or at 1 + 0j, and
+# multiplies in index order, as when the sweep pins were made: another
+# order changes the last bits.
+
+
+def _support_mask(row) -> int:
+    """The indices of the non-zero entries of an integer row, as a bitmask."""
+    return sum(1 << i for i, x in enumerate(row) if x)
 
 
 def _sparse(row) -> tuple[tuple[int, int], ...]:
@@ -521,6 +571,30 @@ def _unit_column(flat, z, values, n: int) -> list[complex]:
         parts = chain(_power_columns(values, monomial), diffs, map(z.__getitem__, extra))
         total = list(map(add, total, _product_column(n, scale, parts)))
     return total
+
+
+def _unit_at(flat, z, values) -> complex:
+    """`_unit_column` at one point: the same products in the same order, on
+    scalars, so with the same bits."""
+    total = 0j
+    for scale, monomial, roots, extra in flat:
+        prod = scale
+        for i, e in monomial:
+            prod *= values[i] if e == 1 else values[i] ** e
+        for i, root in roots:
+            prod *= values[i] - root
+        for e in extra:
+            prod *= z[e]
+        total += prod
+    return total
+
+
+def _linear(c: int, num: int, den: int, k: int, make) -> tuple:
+    """(c, make(a, b)) for the angle a / b of each root zeta omega^j != zeta
+    of x^k - zeta^k, where zeta has angle num / den and omega^k = 1."""
+    if k == 1:
+        return ()
+    return tuple((c, make((num * k + j * den) % (den * k), den * k)) for j in range(1, k))
 
 
 def _numerators(t, rows, roots) -> list[complex]:
@@ -824,9 +898,10 @@ def _sample_columns(rng, rank: int, samples: int) -> list[list[complex]]:
     """Coordinate k of `samples` random chart points, for each k < rank:
     modulus 0.1 + 0.4 u and angle 2 pi u', with u and then u' drawn from
     `rng`, coordinate by coordinate and point by point."""
-    rnd, exp, two_pi = rng.random, cmath.exp, 2 * cmath.pi
+    rnd, rect, two_pi = rng.random, cmath.rect, 2 * cmath.pi
     u = [rnd() for _ in range(2 * rank * samples)]
-    z = [(0.1 + 0.4 * r) * exp(1j * (two_pi * a)) for r, a in zip(u[::2], u[1::2])]
+    # rect(r, x) has the bits of r * exp(1j * x): both are r cos x + i r sin x
+    z = [rect(0.1 + 0.4 * r, two_pi * a) for r, a in zip(u[::2], u[1::2])]
     return [z[k::rank] for k in range(rank)]
 
 
@@ -871,39 +946,49 @@ def _domain_columns(chart: Chart, rng, samples: int):
 def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
     """Max relative defect of unit * monomial == character - constant; the
     unit functions are expanded only when some sample is in the domain."""
+    return _residual(chart, rng, samples)[0]
+
+
+def _residual(chart: Chart, rng, samples: int) -> tuple[float, int]:
+    """(the `residual_sweep` defect, the number of samples it checked)."""
     cols = _domain_columns(chart, rng, samples)
     if cols is None:
-        return 0.0
+        return 0.0, 0
     n, z, monos, values, t = cols
     rels = []
-    for f, vector, root in chart._support_units():
+    for f, row, root in chart._support_units():
         unit = _unit_column(f._flat, z, values, n)
-        value = _product_column(n, 1 + 0j, _power_columns(t, _sparse(vector)))
+        value = _product_column(n, 1 + 0j, _power_columns(t, row))
         mono = monos[f.base_member]
         rels += [
             abs(u * m - (v - root)) / (1 + abs(v)) for u, m, v in zip(unit, mono, value)
         ]
-    return max([0.0, *rels])
+    return max([0.0, *rels]), n
 
 
 def roundtrip_sweep(chart: Chart, rng, samples: int = 100) -> float:
     """Max relative error of chart -> torus -> chart; samples whose torus
     point sits on a successor's divisor are skipped."""
+    return _roundtrip(chart, rng, samples)[0]
+
+
+def _roundtrip(chart: Chart, rng, samples: int) -> tuple[float, int]:
+    """(the `roundtrip_sweep` error, the number of samples it checked)."""
     cols = _domain_columns(chart, rng, samples)
     if cols is None:
-        return 0.0
+        return 0.0, 0
     n, z, _, _, t = cols
     nums = [
         [x - root for x in _product_column(n, 1 + 0j, _power_columns(t, row))]
         for row, root in zip(chart._basis_sparse, chart._roots)
     ]
     successors = [nums[j] for j in chart.succ if j is not None]
-    _, z, nums = _kept(n, successors, chart.tolerance, z, nums)
+    n, z, nums = _kept(n, successors, chart.tolerance, z, nums)
     errs = []
     for za, xs, j in zip(z, nums, chart.succ):
         xs = xs if j is None else list(map(truediv, xs, nums[j]))
         errs += [abs(a - x) / (1 + abs(a)) for a, x in zip(za, xs)]
-    return max([0.0, *errs])
+    return max([0.0, *errs]), n
 
 
 def overlap_sweep(

@@ -48,6 +48,7 @@ intersection for connectivity on its own, as `complete_subsets`,
 """
 
 import cmath
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -133,6 +134,12 @@ def oracle_inverse(mat):
     if any(x.denominator != 1 for row in a for x in row[n:]):
         raise NotUnimodular(f"matrix {mat} is not unimodular")
     return tuple(tuple(int(x) for x in row[n:]) for row in a)
+
+
+@functools.lru_cache(maxsize=4096)
+def _chart_inverse(basis):
+    """`oracle_inverse` of a chart basis, computed once per basis."""
+    return oracle_inverse(basis)
 
 
 def oracle_determinant(mat) -> Fraction:
@@ -716,8 +723,13 @@ def oracle_maximal_constant_member(members, phi, vector):
     p, by an exact `Layer.value_of` scan of every member; None when there
     is none, NotNested when those members do not form a chain."""
     target = pairing(vector, phi)
-    hits = [m for m in members if m.value_of(vector) == target]
-    return top_member(hits) if hits else None
+    hits = tuple(m for m in members if _value_of(m, tuple(vector)) == target)
+    return _top_member(hits) if hits else None
+
+
+# `Layer.value_of` and `top_member`, computed once per argument
+_value_of = functools.lru_cache(maxsize=1 << 16)(Layer.value_of)
+_top_member = functools.lru_cache(maxsize=1 << 16)(top_member)
 
 
 def oracle_adapted_basis_rows(members):
@@ -786,7 +798,7 @@ def oracle_expand(chart, vector, value):
     scan of every member, until nothing is left; None where a residual has
     no component on that member."""
     terms, pref, cur, base = [], Fraction(0), tuple(vector), None
-    inverse = oracle_inverse(chart.basis)
+    inverse = _chart_inverse(chart.basis)
     while any(cur):
         layer = oracle_maximal_constant_member(chart.members, chart.point_coordinates, cur)
         c = chart.members.index(layer)
@@ -815,10 +827,10 @@ def oracle_peel_expand(chart, vector, value):
     """The library's expansion as it was before its angles were summed in
     integer numerators: the same peeling order, taken from the chart's
     index tables, with every angle and root a `Fraction` sum reduced mod 1."""
-    coeffs = list(vec_mat(vector, oracle_inverse(chart.basis)))
+    coeffs = list(vec_mat(vector, _chart_inverse(chart.basis)))
     terms, pref, base = [], Fraction(0), None
     while any(coeffs):
-        c = chart._top_constant(coeffs)
+        c = chart._top_constant(sum(1 << j for j, x in enumerate(coeffs) if x))
         if base is None:
             base = c
         elif coeffs[c] == 0:
@@ -927,8 +939,8 @@ def oracle_residual_sweep(chart, rng, samples=100) -> float:
     for z, values, t in oracle_domain_samples(chart, rng, samples):
         if units is None:
             units = [
-                (oracle_unit_terms(chart, f), f.base_member, vector, root)
-                for f, vector, root in chart._support_units()
+                (oracle_unit_terms(chart, f), f.base_member, f.vector, root)
+                for f, _, root in chart._support_units()
             ]
         for terms, base, vector, root in units:
             lhs = oracle_unit_value(terms, z, values) * _oracle_monomial(chart, z, base)

@@ -896,6 +896,17 @@ class TestSweepOracle:
                     assert oracle(chart, rng, samples) == 0.0
             assert rng.getstate() == state
 
+    @pytest.mark.parametrize("tolerance", [0.2, 0.9])
+    def test_checked_counts(self, family_atlases, tolerance):
+        """The residual sweep checks the samples in the domain, and the
+        roundtrip sweep those of them off every successor's divisor."""
+        for c in family_atlases["B3"][:10]:
+            chart = build_chart(c.poset, c.nested_set, tolerance=tolerance)
+            points = list(oracle_domain_samples(chart, random.Random(1), 100))
+            off = sum(oracle_torus_to_chart(chart, t) is not None for *_, t in points)
+            assert charts._residual(chart, random.Random(1), 100)[1] == len(points)
+            assert charts._roundtrip(chart, random.Random(1), 100)[1] == off
+
     def test_no_sample_in_domain(self, family_atlases, monkeypatch):
         """A tolerance above every |member character value| puts each
         sample outside the domain: the sweeps return 0.0 without
@@ -1011,7 +1022,7 @@ class TestEveryChartExpands:
                     continue
                 old_ok += 1
                 for f in old:
-                    ref._functions[(f.vector, f.value)] = f
+                    ref._functions[f.vector, f.value.numerator, f.value.denominator] = f
                     assert chart.character_unit(f.vector, f.value).terms == f.terms
                 assert repr(residual_sweep(ref, random.Random(seed))) == repr(
                     residual_sweep(chart, random.Random(seed))
@@ -1026,21 +1037,14 @@ class TestEveryChartExpands:
         for k, chart in enumerate(fam_atlas):
             assert residual_sweep(chart, random.Random(k), 20) <= 1e-9
 
-    def test_integer_angles(self, bench_atlases, a4_atlas):
-        """The angles, summed as integer numerators, give the terms of the
-        `Fraction` peel, and of the original expansion where it expands."""
-        atlases = [fam_atlas for _, fam_atlas in bench_atlases.values()] + [a4_atlas]
-        checked = 0
-        for fam_atlas in atlases:
-            for chart in fam_atlas:
-                for f, vector, _ in chart._support_units():
-                    peel = oracle_peel_expand(chart, vector, f.value)
-                    assert (f.base_member, f.terms) == (peel.base_member, peel.terms)
-                    old = oracle_expand(chart, vector, f.value)
-                    if old is not None:
-                        assert f.terms == old.terms
-                        checked += 1
-        assert sum(map(len, atlases)) == 512 and checked > 0
+    def test_integer_angles(self, bench_atlases, root_atlases):
+        """The expansion in integers gives the base, terms and `_flat` bits
+        of the `Fraction` peel, and of the original expansion where it
+        expands, on the bench and example files, A4, B4 and C4."""
+        atlases = [fam_atlas for _, fam_atlas in bench_atlases.values()]
+        atlases += [root_atlases[name] for name in ("A4", "B4", "C4")]
+        assert sum(map(len, atlases)) == 407 + 105 + 672 + 1008
+        assert sum(map(assert_expansions_match, atlases)) == 25_950
 
     def test_zero_character_has_no_unit(self, std_chart):
         with pytest.raises(charts.NotExpandable):
@@ -1063,12 +1067,121 @@ class TestEveryChartExpands:
                     z = tuple(near_divisor(rng) for _ in range(chart.rank))
                     values = chart.member_character_values(z)
                     t = chart._to_torus(values)
-                    for f, vector, root in chart._support_units():
+                    for f, _, root in chart._support_units():
                         mono = chart.coordinate_monomial(z, f.base_member)
                         lhs = f._at(z, values) * mono
-                        rhs = chart.character_value(t, vector) - root
+                        rhs = chart.character_value(t, f.vector) - root
                         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs + root))
                         assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
+
+
+def flat_bits(flat):
+    """`ChartFunction._flat` with each float written by `float.hex`."""
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    return [
+        (bits(scale), monomial, [(i, bits(r)) for i, r in roots], extra)
+        for scale, monomial, roots, extra in flat
+    ]
+
+
+def assert_expansions_match(fam_atlas) -> int:
+    """Each support character's unit function has the base, terms and
+    `_flat` bits of `oracle_peel_expand`, and those of `oracle_expand`
+    where that expands; returns how many functions were compared."""
+    compared = 0
+    for chart in fam_atlas:
+        for f, _, _ in chart._support_units():
+            want = (f.base_member, f.terms, flat_bits(f._flat))
+            peel = oracle_peel_expand(chart, f.vector, f.value)
+            assert want == (peel.base_member, peel.terms, flat_bits(peel._flat))
+            old = oracle_expand(chart, f.vector, f.value)
+            if old is not None:
+                assert want == (old.base_member, old.terms, flat_bits(old._flat))
+            compared += 1
+    return compared
+
+
+class TestIntegerExpansion:
+    """The unit functions, expanded in integers, against the `Fraction`
+    expansions they replaced."""
+
+    def test_random_arrangements(self):
+        """`test_integer_angles` on 100 seeded random arrangements."""
+        compared = 0
+        for seed in range(100):
+            poset = build_poset(random_arrangement(random.Random(f"units:{seed}")))
+            compared += assert_expansions_match(atlas(poset, irreducible_layers(poset)))
+        assert compared == 10_871
+
+    def test_peel_steps_per_mask(self, monkeypatch):
+        """A chart computes at most one peel sequence per coefficient
+        support mask of its characters, and the charts with the same
+        containments among their members share them."""
+        arr, _ = parse_file(str(FAMILIES / "B3.arr"))
+        poset = build_poset(arr)
+        fresh = atlas(poset, irreducible_layers(poset))
+        computed = Counter()
+        peel_steps = Chart._peel_steps
+
+        def counted(chart, *args):
+            computed[chart] += 1
+            return peel_steps(chart, *args)
+
+        monkeypatch.setattr(Chart, "_peel_steps", counted)
+        shapes, units = {}, 0
+        for chart in fresh:
+            masks = {
+                charts._support_mask(chart._coefficients(f.vector))
+                for f, _, _ in chart._support_units()
+            }
+            assert computed[chart] <= len(masks)
+            shapes.setdefault(chart._above, set()).update(masks)
+            units += len(chart.point_support())
+        assert sum(computed.values()) == sum(map(len, shapes.values())) < units
+
+    def test_no_fraction_until_terms_are_read(self, monkeypatch):
+        """Expanding a fresh chart's unit functions makes no `Fraction` and
+        no `BetaTerm`; reading `terms` makes the `BetaTerm`s."""
+        made = Counter()
+        new, beta_term = Fraction.__new__, charts.BetaTerm
+
+        def counting_new(cls, *args, **kwargs):
+            made["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        def counting_term(*args):
+            made["BetaTerm"] += 1
+            return beta_term(*args)
+
+        for name in ("A3_tors", "G2_tors"):
+            arr, _ = parse_file(str(FAMILIES / f"{name}.arr"))
+            poset = build_poset(arr)
+            fresh = atlas(poset, irreducible_layers(poset))
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+            monkeypatch.setattr(charts, "BetaTerm", counting_term)
+            units = [f for chart in fresh for f, _, _ in chart._support_units()]
+            assert not made
+            terms = [f.terms for f in units]
+            assert made["BetaTerm"] == sum(map(len, terms)) > len(units)
+            monkeypatch.undo()
+            made.clear()
+
+    def test_one_point_path(self, family_atlases):
+        """A unit function at one point has the bits of the column path
+        at n = 1."""
+        rng = random.Random(11)
+        for chart in family_atlases["B3"]:
+            for _ in range(5):
+                z = charts._sample_point(rng, chart.rank)
+                values = chart.member_character_values(z)
+                for f, _, _ in chart._support_units():
+                    col = [[x] for x in z], [[v] for v in values]
+                    want = charts._unit_column(f._flat, *col, 1)[0]
+                    got = f._at(z, values)
+                    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def a3_former_crash_germs():

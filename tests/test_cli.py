@@ -194,6 +194,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    def test_charts_verify_checked_nothing(self, two_lines_file, capsys):
+        """A tolerance of 10 keeps no sample in the domain of any chart, so
+        the sweeps check nothing and the verification fails."""
+        argv = ["charts", two_lines_file, "--verify", "--tolerance", "10"]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith("-> FAIL (a sweep checked no sample)")
+        assert main(argv + ["--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verification"]["pass"] is False
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_charts_verify_needs_samples(self, two_lines_file, capsys, samples):
         """A sweep over no samples checks nothing, so it cannot pass; the

@@ -112,6 +112,15 @@ def test_charts_verify_needs_samples(optimize, samples):
 
 
 @pytest.mark.parametrize("optimize", [False, True])
+def test_charts_verify_checked_nothing(optimize):
+    # no sample of any chart lies in the domain at tolerance 10
+    argv = ("charts", "examples_data/two_lines.arr", "--verify", "--tolerance", "10")
+    proc = run("-m", "toricwonder.cli", *argv, optimize=optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.rstrip().endswith("-> FAIL (a sweep checked no sample)")
+
+
+@pytest.mark.parametrize("optimize", [False, True])
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
 def test_tolerance_finite_positive(optimize, tolerance):
     for argv in (
