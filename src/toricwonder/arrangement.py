@@ -36,8 +36,6 @@ from .lattices import (
     mat_mul,
     mod1,
     pairing,
-    saturate,
-    solve_torsion_system,
     vec_mat,
 )
 
@@ -86,6 +84,11 @@ class Arrangement:
     @property
     def vectors(self) -> Matrix:
         return tuple(ch.vector for ch in self.characters)
+
+    @cached_property
+    def _poset(self) -> "LayerPoset":
+        """The poset the arrangement-level functions read; `build_poset` walks anew."""
+        return build_poset(self)
 
 
 def normalize(rank: int, raw) -> Arrangement:
@@ -204,20 +207,10 @@ def make_layer(arr: Arrangement, lattice: Sublattice, values) -> Layer:
     return Layer(lattice, values, _support(arr, lattice, values))
 
 
-def components(arr: Arrangement, rows, values) -> list[Layer]:
-    """The connected components of {t : t^row = exp(2 pi i value)}."""
-    sol = solve_torsion_system(rows, values)
-    if sol is None:
-        return []
-    lattice = sol.smith.row_saturation
-    return [
-        make_layer(arr, lattice, tuple(pairing(row, phi) for row in lattice.basis))
-        for phi in sol.representatives
-    ]
-
-
 def layer_components(arr: Arrangement, subset) -> list[Layer]:
-    """The connected components cut out by the given characters."""
+    """The components of the intersection of the hypersurfaces of `subset`,
+    a nonempty set of character indices, in `Layer.key` order: the layers on
+    all of them whose lattice has the least rank (Moci, Trans. AMS 2012)."""
     subset = sorted(set(subset))
     if not subset:
         raise EmptySubset("a nonempty character subset is required")
@@ -225,8 +218,10 @@ def layer_components(arr: Arrangement, subset) -> list[Layer]:
         raise NotContained(
             f"character indices {subset} are not all in 0..{len(arr.characters) - 1}"
         )
-    chars = [arr.characters[i] for i in subset]
-    return components(arr, [ch.vector for ch in chars], [ch.value for ch in chars])
+    mask = sum(1 << i for i in subset)
+    over = [l for l in arr._poset.layers if not mask & ~l.mask]
+    least = min((l.lattice.rank for l in over), default=0)
+    return [l for l in over if l.lattice.rank == least]
 
 
 @dataclass(frozen=True)
@@ -405,7 +400,7 @@ def build_poset(arr: Arrangement) -> LayerPoset:
 
 
 def points(arr: Arrangement) -> list[Layer]:
-    return list(build_poset(arr).points)
+    return list(arr._poset.points)
 
 
 def localized(arr: Arrangement, p: Layer) -> tuple[int, ...]:
@@ -415,42 +410,30 @@ def localized(arr: Arrangement, p: Layer) -> tuple[int, ...]:
     return _support(arr, p.lattice, p.values)
 
 
-def _closure(arr: Arrangement, ground, subset) -> tuple[int, ...]:
-    """The characters of `ground` in the rational span of `subset`: an
-    integer vector is in that span iff it is in the span's saturation."""
-    span = Sublattice.from_rows(arr.rank, [arr.characters[i].vector for i in subset])
-    sat = saturate(span)
-    return tuple(i for i in ground if arr.characters[i].vector in sat)
-
-
 def complete_subsets(arr: Arrangement, p: Layer) -> list[tuple[int, ...]]:
-    """All flats of the localized character set at the point `p`.
-
-    Includes the empty set and the full localized set.  They are the
-    supports of the layers through p, read from the poset's flat table.
-    """
+    """All flats of the localized character set at the point `p`, the empty
+    and the full one included: the supports of the layers through p, read
+    from the poset's flat table."""
     localized(arr, p)  # raises NotAPoint unless p is a point
-    table = build_poset(arr).flats_at(p)
+    table = arr._poset.flats_at(p)
     return sorted((l.support for l in table.values()), key=lambda f: (len(f), f))
 
 
 def is_complete(arr: Arrangement, p: Layer, subset) -> bool:
-    ground = localized(arr, p)
-    subset = tuple(sorted(subset))
-    if any(i not in ground for i in subset):
-        return False
-    return _closure(arr, ground, subset) == subset
+    if p.dim != 0:
+        raise NotAPoint("localization requires a 0-dimensional layer")
+    subset, valid = tuple(sorted(subset)), range(len(arr.characters))
+    # a flat's support differs from a subset with an index repeated or invalid
+    flat = arr._poset.flats_at(p).get(sum(1 << i for i in subset if i in valid))
+    return flat is not None and flat.support == subset
 
 
 def layer_from_complete_set(arr: Arrangement, p: Layer, subset) -> Layer:
-    """The layer through `p` whose localized support is the given flat."""
+    """The poset's layer through `p` whose support is the given flat."""
     subset = tuple(sorted(subset))
     if not subset or not is_complete(arr, p, subset):
         raise NotComplete(f"{subset} is not a nonempty flat at {p}")
-    lattice = saturate(
-        Sublattice.from_rows(arr.rank, [arr.characters[i].vector for i in subset])
-    )
-    return make_layer(arr, lattice, [pairing(row, p.coordinates) for row in lattice.basis])
+    return arr._poset.flats_at(p)[sum(1 << i for i in subset)]
 
 
 def point_layer(arr: Arrangement, coordinates) -> Layer:

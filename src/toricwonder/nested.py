@@ -15,8 +15,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import IsMinimal, NotAPoint, NotContained, NotInBuildingSet, NotNested
-from .arrangement import Arrangement, Layer, LayerPoset, components, top_member
+from .errors import IsMinimal, NotAPoint, NotContained, NotInBuildingSet, NotInPoset, NotNested
+from .arrangement import Arrangement, Layer, LayerPoset, layer_components, top_member
 from .decomposition import BuildingSet
 from .lattices import hermite_basis
 
@@ -58,12 +58,17 @@ class NestedSet:
 
 
 def intersection_components(arr: Arrangement, members) -> list[Layer]:
-    """Connected components of the intersection of the given layers."""
-    return components(
-        arr,
-        [row for m in members for row in m.lattice.basis],
-        [v for m in members for v in m.values],
-    )
+    """The components of the intersection of the given layers of `arr`, in
+    `Layer.key` order, and [torus] for none: the components cut out by the
+    members' supports that lie in every member, as each lies in it or misses it."""
+    poset = arr._poset
+    own = [poset._own(m) for m in members]
+    for m in own:
+        if m not in poset:
+            raise NotInPoset(f"{m} is not a layer of the arrangement")
+    union = {i for m in own for i in m.support}
+    comps = layer_components(arr, union) if union else [poset.torus]
+    return [c for c in comps if all(m.contains(c) for m in own)]
 
 
 def is_nested(members, building: BuildingSet, poset: LayerPoset):

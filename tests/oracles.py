@@ -10,10 +10,10 @@ closes every subset of the localized characters, the decomposition
 oracles scan every set partition, or every coarsening of the circuit
 components, and the nestedness oracle enumerates every flag of layers
 and collects the factor sets.  The nested-set scans decide every subset
-of building-set members on its own, with `Layer.contains` and
-`is_complete` at each common point, and keep the ones that pass.  The
-intersection-path oracles keep the library's backtracking search but
-take each center and witness flag from the components of an
+of building-set members on its own, with `Layer.contains` and a
+span-closure flat test at each common point, and keep the ones that
+pass.  The intersection-path oracles keep the library's backtracking
+search but take each center and witness flag from the components of an
 intersection, each solved as one torsion system.  The adapted-basis
 oracle is the original recursive peel with no memo, and the
 constant-member oracle finds a character's largest constant member by an
@@ -40,6 +40,11 @@ The bitset Hasse oracle takes the transitive reduction of every
 containment over bitsets, and the coarsening oracle tests every
 coarsening of the matroid components with the library's Smith-form
 test, as `hasse_edges` and `finest_integral_decomposition` once did.
+The components oracle solves one torsion system by a Smith form and the
+closure oracle closes a character set by span, as `layer_components`,
+`intersection_components` and `is_complete` once did; the oracles above
+that name components, closures or flats use these two and never the
+library's poset.
 The grown-flat oracle closes flats one character at a time by span
 tests, the adaptedness oracle checks each chart member with a Hermite
 form, and the connected-maximal oracle tests each maximal nested set's
@@ -69,18 +74,14 @@ from toricwonder import (
     build_poset,
     connected_components,
     factors,
-    intersection_components,
-    is_complete,
     is_integral_decomposition,
-    layer_components,
     localized,
     normalize,
     saturate,
 )
-from toricwonder.arrangement import _closure
 from toricwonder.decomposition import _sums_to_saturation
 from toricwonder.nested import _connected, _nested_sets
-from toricwonder.arrangement import top_member
+from toricwonder.arrangement import make_layer, top_member
 from toricwonder.charts import BetaTerm, ChartFunction, unit_root
 from toricwonder.cli import parse_file
 from toricwonder.lattices import (
@@ -92,6 +93,7 @@ from toricwonder.lattices import (
     mod1,
     pairing,
     smith_normal_form,
+    solve_torsion_system,
     vec_mat,
 )
 
@@ -168,6 +170,62 @@ def oracle_pairing(vector, phi) -> Fraction:
     return Fraction(sum(Fraction(x) * q for x, q in zip(vector, phi) if x)) % 1
 
 
+def oracle_components(arr, rows, values):
+    """The connected components of {t : t^row = exp(2 pi i value)}."""
+    sol = solve_torsion_system(rows, values)
+    if sol is None:
+        return []
+    lattice = sol.smith.row_saturation
+    return [
+        make_layer(arr, lattice, tuple(pairing(row, phi) for row in lattice.basis))
+        for phi in sol.representatives
+    ]
+
+
+def oracle_closure(arr, ground, subset):
+    """The characters of `ground` in the rational span of `subset`: an
+    integer vector is in that span iff it is in the span's saturation."""
+    span = Sublattice.from_rows(arr.rank, [arr.characters[i].vector for i in subset])
+    sat = saturate(span)
+    return tuple(i for i in ground if arr.characters[i].vector in sat)
+
+
+def oracle_layer_components(arr, subset):
+    """The components cut out by the characters of `subset`, solved as one
+    torsion system."""
+    chars = [arr.characters[i] for i in subset]
+    return oracle_components(arr, [ch.vector for ch in chars], [ch.value for ch in chars])
+
+
+def oracle_intersection_components(arr, members):
+    """The components of the intersection of the layers `members`, solved
+    as one torsion system."""
+    return oracle_components(
+        arr,
+        [row for m in members for row in m.lattice.basis],
+        [v for m in members for v in m.values],
+    )
+
+
+def oracle_is_complete(arr, p, subset):
+    """Whether `subset` is a flat at the point `p`: its closure by span
+    among the localized characters is itself."""
+    ground = localized(arr, p)
+    subset = tuple(sorted(subset))
+    if any(i not in ground for i in subset):
+        return False
+    return oracle_closure(arr, ground, subset) == subset
+
+
+def oracle_layer_from_flat(arr, p, subset):
+    """The layer through the point `p` whose lattice is the saturated span
+    of the flat `subset`, with its values read at p."""
+    lattice = saturate(
+        Sublattice.from_rows(arr.rank, [arr.characters[i].vector for i in subset])
+    )
+    return make_layer(arr, lattice, [pairing(row, p.coordinates) for row in lattice.basis])
+
+
 def oracle_characteristic_polynomial(arr):
     """Sum over all character subsets S of (-1)^|S| q^dim C over the
     components C of X_S (X_{} is the torus), as coefficients from q^n down."""
@@ -176,7 +234,7 @@ def oracle_characteristic_polynomial(arr):
     m = len(arr.characters)
     for size in range(1, m + 1):
         for subset in itertools.combinations(range(m), size):
-            for layer in layer_components(arr, subset):
+            for layer in oracle_layer_components(arr, subset):
                 coeffs[arr.rank - layer.dim] += (-1) ** size
     return coeffs
 
@@ -187,7 +245,7 @@ def oracle_layers(arr):
     m = len(arr.characters)
     for size in range(1, m + 1):
         for subset in itertools.combinations(range(m), size):
-            for layer in layer_components(arr, subset):
+            for layer in oracle_layer_components(arr, subset):
                 found.setdefault(layer, layer)
     return sorted(found, key=Layer.key)
 
@@ -450,7 +508,7 @@ def oracle_complete_subsets(arr, p):
     """Every flat at the point `p`: the closure of each localized subset."""
     ground = localized(arr, p)
     flats = {
-        _closure(arr, ground, subset)
+        oracle_closure(arr, ground, subset)
         for size in range(len(ground) + 1)
         for subset in itertools.combinations(ground, size)
     }
@@ -465,7 +523,7 @@ def oracle_grown_flats(arr, p):
     flats, work = {()}, [()]
     while work:
         flat = work.pop()
-        grown = {_closure(arr, ground, flat + (i,)) for i in ground if i not in flat}
+        grown = {oracle_closure(arr, ground, flat + (i,)) for i in ground if i not in flat}
         work.extend(grown - flats)
         flats |= grown
     return sorted(flats, key=lambda f: (len(f), f))
@@ -548,7 +606,7 @@ class _Memo:
     def complete(self, p, union):
         key = (id(p), union)
         if key not in self._complete:
-            self._complete[key] = is_complete(self.arr, p, union)
+            self._complete[key] = oracle_is_complete(self.arr, p, union)
         return self._complete[key]
 
 
@@ -578,7 +636,7 @@ def _witness_flag(members, memo, p):
     remaining = list(members)
     chain = []
     while remaining:
-        comps = intersection_components(memo.arr, remaining)
+        comps = oracle_intersection_components(memo.arr, remaining)
         layer = next(c for c in comps if c.contains(p))
         if not chain or chain[-1] != layer:
             chain.append(layer)
@@ -616,7 +674,7 @@ def oracle_maximal_nested(poset, p, building):
         ok, witness = _is_nested(combo, building, poset, memo)
         if not ok:
             continue
-        comps = intersection_components(memo.arr, combo)
+        comps = oracle_intersection_components(memo.arr, combo)
         if len(comps) == 1 and comps[0] == p:
             out.append(NestedSet(combo, comps[0], witness))
     return sorted(out, key=NestedSet.key)
@@ -625,7 +683,7 @@ def oracle_maximal_nested(poset, p, building):
 def oracle_center_check(arr, members, p):
     """Whether the members' intersection is the point `p` alone, from the
     components of the intersection, each solved as one torsion system."""
-    comps = intersection_components(arr, members)
+    comps = oracle_intersection_components(arr, members)
     return len(comps) == 1 and comps[0] == p
 
 
@@ -670,7 +728,7 @@ def oracle_center(members, building, poset):
     None), or (None, reason) where the library raises NotNested."""
     if not oracle_is_nested(members, building, poset)[0]:
         return None, "not nested"
-    comps = intersection_components(poset.arrangement, members)
+    comps = oracle_intersection_components(poset.arrangement, members)
     return (comps[0], None) if len(comps) == 1 else (None, "not connected")
 
 

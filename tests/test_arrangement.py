@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -11,18 +13,21 @@ from toricwonder import (
     NotAPoint,
     NotComplete,
     NotContained,
+    NotInPoset,
     NotPrimitive,
     Sublattice,
     WeightedCharacter,
     ZeroVector,
     build_poset,
     complete_subsets,
+    intersection_components,
     is_complete,
     layer_components,
     layer_from_complete_set,
     localized,
     normalize,
     point_layer,
+    points,
 )
 from toricwonder import arrangement, lattices
 from oracles import (
@@ -31,11 +36,16 @@ from oracles import (
     RANK_FOUR_CASES,
     case_arrangement,
     oracle_bitset_hasse_edges,
+    oracle_closure,
     oracle_characteristic_polynomial,
     oracle_complete_subsets,
     oracle_frame_walk,
     oracle_grown_flats,
     oracle_hasse_edges,
+    oracle_intersection_components,
+    oracle_is_complete,
+    oracle_layer_components,
+    oracle_layer_from_flat,
     oracle_layers,
     random_arrangement,
     root_system,
@@ -279,6 +289,18 @@ class TestPosetScale:
         assert len(poset.layers) == 160
         assert len(poset.points) == 12
 
+    def test_complete_subsets_walk_once(self, monkeypatch):
+        """The flats at every point of a fresh arrangement cost one walk of
+        its poset: as many Hermite forms as `build_poset` makes once."""
+        _, calls = counted_poset(monkeypatch, root_system("C", 4))
+        walk = dict(calls)
+        # `normalize` takes a Hermite form of the characters' span
+        arr = root_system("C", 4)
+        calls.update(dict.fromkeys(calls, 0))
+        for p in points(arr):
+            assert len(complete_subsets(arr, p)) > 1
+        assert calls == walk and walk["hermite"] > 0
+
 
 def characteristic_polynomial(poset):
     """Sum of mu(T, W) q^dim W over the torus T and the layers W, as
@@ -320,6 +342,56 @@ class TestCharacteristicPolynomial:
         coeffs = characteristic_polynomial(poset)
         assert coeffs == oracle_characteristic_polynomial(poset.arrangement)
         assert coeffs == CHARACTERISTIC[path.stem]
+
+
+def _off_hypersurfaces(arr, modulus):
+    """The x in (Z/M)^n whose point exp(2 pi i x / M) lies on no hypersurface:
+    a x = M c mod M puts it on {chi_a = exp(2 pi i c)}."""
+    chars = [
+        (ch.vector, ch.value.numerator * (modulus // ch.value.denominator))
+        for ch in arr.characters
+    ]
+    return sum(
+        all((sum(a * b for a, b in zip(v, x)) - c) % modulus for v, c in chars)
+        for x in itertools.product(range(modulus), repeat=arr.rank)
+    )
+
+
+def _value_lcm(poset):
+    """N, the lcm of the denominators of every layer's values."""
+    return lcm(*(v.denominator for l in poset.layers for v in l.values))
+
+
+class TestPointCount:
+    """For every multiple M of N (`_value_lcm`), chi(M) counts the points of
+    order dividing M off the hypersurfaces (Ehrenborg, Readdy and Slone, 2009;
+    Moci, 2012): the poset, which gives every layer and the Moebius function,
+    checked against a count that makes no layer at all."""
+
+    @pytest.mark.parametrize(
+        "kind, coeffs, modulus",
+        # (M-2)(M-4)^2(M-6) and (M-2)(M-4)(M-6)(M-8), above their largest roots
+        [("B", [1, -16, 92, -224, 192], 8), ("C", [1, -20, 140, -400, 384], 10)],
+        ids=["B4", "C4"],
+    )
+    def test_rank_four(self, kind, coeffs, modulus):
+        poset = build_poset(root_system(kind, 4))
+        assert characteristic_polynomial(poset) == coeffs
+        assert modulus % _value_lcm(poset) == 0
+        chi = sum(c * modulus ** (4 - k) for k, c in enumerate(coeffs))
+        assert _off_hypersurfaces(poset.arrangement, modulus) == chi > 0
+
+    @pytest.mark.parametrize("path", ARR_FILES, ids=lambda p: p.stem)
+    def test_bench_families(self, path):
+        poset = build_poset(case_arrangement(path))
+        n, coeffs = poset.arrangement.rank, CHARACTERISTIC[path.stem]
+        step = _value_lcm(poset)
+        # the first two multiples of N above the number of characters, where
+        # chi is positive: at a root both counts would be 0
+        first = (len(poset.arrangement.characters) // step + 1) * step
+        for modulus in (first, first + step):
+            chi = sum(c * modulus ** (n - k) for k, c in enumerate(coeffs))
+            assert _off_hypersurfaces(poset.arrangement, modulus) == chi > 0, modulus
 
 
 class TestComponentCounts:
@@ -505,6 +577,103 @@ class TestLayerFromCompleteSet:
         arr, _, _ = two_lines
         p1 = point_layer(arr, (0, 0))
         assert layer_from_complete_set(arr, p1, (0, 1)) == p1
+
+
+class TestEdgeInputs:
+    """Bad indices and members keep the answers and typed errors they had
+    before the functions read the poset."""
+
+    @pytest.mark.parametrize(
+        "subset", [(-1,), (0, -1), (2,), (0, 99), (0, 0), (1, 0, 1)]
+    )
+    def test_no_flat(self, two_lines, subset):
+        arr, _, _ = two_lines
+        p1 = point_layer(arr, (0, 0))
+        assert is_complete(arr, p1, subset) is False
+        assert oracle_is_complete(arr, p1, subset) is False
+        with pytest.raises(NotComplete, match="is not a nonempty flat at"):
+            layer_from_complete_set(arr, p1, subset)
+
+    def test_not_a_point(self, two_lines):
+        arr, poset, _ = two_lines
+        line = next(l for l in poset.layers if l.dim == 1)
+        for case in (
+            lambda: complete_subsets(arr, line),
+            lambda: is_complete(arr, line, (0,)),
+            lambda: layer_from_complete_set(arr, line, (0,)),
+        ):
+            with pytest.raises(NotAPoint, match="0-dimensional"):
+                case()
+
+    def test_no_members(self, two_lines):
+        """No member leaves the ambient torus, of dimension n; the torsion
+        solve of no rows could not see n and gave the torus of Z^0."""
+        arr, _, _ = two_lines
+        got = intersection_components(arr, [])
+        assert got == [Layer(Sublattice.zero(arr.rank), ())] and got[0].dim == 2
+
+    def test_member_off_the_poset(self, two_lines):
+        """The one narrowed input: a subtorus that is not a layer, such as a
+        point off the hypersurfaces or the ambient torus."""
+        arr, poset, _ = two_lines
+        off = point_layer(arr, (F(1, 3), F(1, 5)))
+        for member in (off, Layer(Sublattice.zero(arr.rank), ())):
+            with pytest.raises(NotInPoset, match="is not a layer of the arrangement"):
+                intersection_components(arr, [poset.layers[0], member])
+
+
+def check_poset_route(arr, rng, pairs, triples, sizes):
+    """`layer_components` on every subset of up to 3 characters,
+    `intersection_components` on `pairs` layer pairs (all of them if there
+    are fewer) and `triples` random triples, and `is_complete` and
+    `layer_from_complete_set` on the localized subsets of the given sizes,
+    the empty one and the whole: equal as sets to the torsion-solve and
+    span-closure oracles, each layer the poset's own, in `Layer.key` order."""
+    poset = arr._poset
+
+    def same(got, want):
+        assert set(got) == set(want) and len(got) == len(want)
+        assert all(l is poset.layers[poset.ids[l]] for l in got)
+        assert [l.key() for l in got] == sorted(l.key() for l in got)
+
+    m = len(arr.characters)
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(range(m), size):
+            same(layer_components(arr, subset), oracle_layer_components(arr, subset))
+    layers = poset.layers
+    every_pair = list(itertools.combinations(layers, 2))
+    families = rng.sample(every_pair, min(len(every_pair), pairs))
+    if len(layers) >= 3:
+        families += [tuple(rng.sample(layers, 3)) for _ in range(triples)]
+    for members in families:
+        same(
+            intersection_components(arr, members),
+            oracle_intersection_components(arr, members),
+        )
+    for p in poset.points:
+        ground = localized(arr, p)
+        subsets = [s for k in sizes for s in itertools.combinations(ground, k)]
+        for subset in [(), ground, *subsets]:
+            flat = oracle_closure(arr, ground, subset) == subset
+            assert is_complete(arr, p, subset) == flat
+            if flat and subset:
+                got = layer_from_complete_set(arr, p, subset)
+                assert got.key() == oracle_layer_from_flat(arr, p, subset).key()
+                assert got is poset.layers[poset.ids[got]]
+
+
+class TestPosetRoute:
+    """The arrangement-level functions read one poset; the oracles solve
+    each intersection and close each flat on their own."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES + RANK_FOUR_CASES)
+    def test_oracle_cases(self, case):
+        check_poset_route(case_arrangement(case), random.Random(7), 150, 100, (1, 2))
+
+    def test_random_arrangements(self):
+        rng = random.Random(2027)
+        for _ in range(150):
+            check_poset_route(random_arrangement(rng), rng, 10, 3, ())
 
 
 class TestLayerBasics:

@@ -146,6 +146,59 @@ def test_not_utf8(optimize, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# bad character indices and members of the arrangement-level functions,
+# which look them up in the poset
+LOOKUP_CASES = """
+from fractions import Fraction
+from toricwonder import (
+    ToricError, build_poset, intersection_components, is_complete,
+    layer_components, layer_from_complete_set, normalize, point_layer,
+)
+
+arr = normalize(2, [((1, 1), 0), ((1, -1), 0)])
+p = point_layer(arr, (0, 0))
+line = build_poset(arr).layers[0]
+off = point_layer(arr, (Fraction(1, 3), Fraction(1, 5)))
+
+for case in (
+    lambda: is_complete(arr, p, (-1,)),
+    lambda: is_complete(arr, p, (0, 99)),
+    lambda: is_complete(arr, p, (0, 0)),
+    lambda: layer_from_complete_set(arr, p, (-1,)),
+    lambda: layer_from_complete_set(arr, p, (1, 1)),
+    lambda: [l.dim for l in intersection_components(arr, [])],
+    lambda: intersection_components(arr, [line, off]),
+    lambda: layer_components(arr, [2]),
+    lambda: is_complete(arr, line, (0,)),
+):
+    try:
+        print(case())
+    except ToricError as exc:
+        print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_lookup_edges(optimize):
+    proc = run("-c", LOOKUP_CASES, optimize=optimize)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:6] == [
+        "False", "False", "False",
+        "NotComplete: (-1,) is not a nonempty flat at "
+        "Layer(basis=((1, 0), (0, 1)), values=(Fraction(0, 1), Fraction(0, 1)))",
+        "NotComplete: (1, 1) is not a nonempty flat at "
+        "Layer(basis=((1, 0), (0, 1)), values=(Fraction(0, 1), Fraction(0, 1)))",
+        "[2]",
+    ]
+    assert lines[6].startswith("NotInPoset: Layer(basis=((1, 0), (0, 1))")
+    assert lines[6].endswith("is not a layer of the arrangement")
+    assert lines[7:] == [
+        "NotContained: character indices [2] are not all in 0..1",
+        "NotAPoint: localization requires a 0-dimensional layer",
+    ]
+
+
 # chart cases that end in a typed error; the building sets are made
 # without validation, as a caller may make them
 CHART_CASES = """
