@@ -247,17 +247,18 @@ class LayerPoset:
     def flats_at(self, p: Layer) -> dict[int, Layer]:
         """The layers through `p` by support mask, in `Layer.key` order: the
         masks are the flats of the characters through p (`_Local`), and the
-        empty flat maps to the ambient torus, which is not a layer."""
+        empty flat maps to the ambient torus, which is not a layer.  Only
+        the poset's own points keep their tables."""
         try:
             return self._flats[p]
         except KeyError:
-            p = self._own(p)
+            own, p = p in self.ids, self._own(p)
             table = {0: self.torus}
             for l in self.layers:
                 # a layer through p has its support inside p's
                 if not l.mask & ~p.mask and l.contains(p):
                     table[l.mask] = l
-            return self._flats.setdefault(p, table)
+            return self._flats.setdefault(p, table) if own else table
 
     @cached_property
     def torus(self) -> Layer:

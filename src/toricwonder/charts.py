@@ -188,11 +188,7 @@ class ChartFunction:
         return self._terms
 
     def __call__(self, z) -> complex:
-        return self._at(z, self.chart.member_character_values(z))
-
-    def _at(self, z, values) -> complex:
-        """The value at z, given the chart's member character values at z."""
-        return _unit_at(self._flat, z, values)
+        return _unit_column(self._flat, _column(z), self.chart._point(z)[1], 1)[0]
 
 
 def _chain_top(members, indices) -> int | None:
@@ -279,34 +275,69 @@ class Chart:
             raise OutsideDomain(f"{what} {tuple(entries)} does not have length {self.rank}")
         return entries
 
+    def _point(self, z):
+        """(monomial columns, value columns) of `_values` at the point z."""
+        return self._values(_column(self._sized(z, "chart point")), 1)
+
     def member_character_values(self, z) -> list[complex]:
         """The value of each basis character at the image torus point."""
-        below = _monomials(self._sized(z, "chart point"), self.below)
-        return [m + root for m, root in zip(below, self._roots)]
+        return list(_entry(self._point(z)[1]))
 
     def in_coordinate_domain(self, z) -> bool:
-        return self._in_domain(self.member_character_values(z))
-
-    def _in_domain(self, values) -> bool:
-        return all(abs(v) > self.tolerance for v in values)
+        return _kept(1, self._point(z)[1], self.tolerance)[0] == 1
 
     def chart_to_torus(self, z) -> tuple[complex, ...]:
-        values = self.member_character_values(z)
-        if not self._in_domain(values):
+        values = self._point(z)[1]
+        if not _kept(1, values, self.tolerance)[0]:
             raise OutsideDomain("a torus coordinate would vanish")
-        return self._to_torus(values)
-
-    def _to_torus(self, values) -> tuple[complex, ...]:
-        """The torus point whose member character values are `values`."""
-        return tuple(_power_products(values, self._basis_inv))
+        return _entry(self._torus(values, 1))
 
     def character_value(self, t, vector) -> complex:
         row = _sparse(self._sized(vector, "character"))
-        return _power_products(self._sized(t, "torus point"), (row,))[0]
+        return _power_products(_column(self._sized(t, "torus point")), 1, (row,))[0][0]
 
     def torus_to_chart(self, t) -> tuple[complex, ...]:
-        t = self._sized(t, "torus point")
-        return _to_chart(t, self._basis_sparse, self._roots, self.succ, self.tolerance)
+        n, z = self._to_chart(_column(self._sized(t, "torus point")), 1)
+        if not n:
+            raise OnDivisor("a successor character sits on its divisor")
+        return _entry(z)
+
+    def _values(self, z, n: int):
+        """The columns (entry s at point s) of each member's coordinate
+        monomial and of its character's value, at the n points z."""
+        monos = [_product_column(n, 1 + 0j, map(z.__getitem__, c)) for c in self.below]
+        return monos, [[m + root for m in col] for col, root in zip(monos, self._roots)]
+
+    def _torus(self, values, n: int) -> list[list[complex]]:
+        """The columns of the torus points whose member values are `values`."""
+        return _power_products(values, n, self._basis_inv)
+
+    def _to_chart(self, t, n: int, *groups):
+        """(count, z, *groups) over those of the n torus points t on no
+        successor character's divisor, z their successor-ratio coordinates."""
+        nums = _numerators(t, n, self._basis_sparse, self._roots)
+        successors = [nums[j] for j in self.succ if j is not None]
+        n, nums, *groups = _kept(n, successors, self.tolerance, nums, *groups)
+        z = [xs if j is None else list(map(truediv, xs, nums[j])) for xs, j in zip(nums, self.succ)]
+        return (n, z, *groups)
+
+    def _inside(self, z, n: int, *groups):
+        """(count, *groups) over those of the n points z in the open chart
+        domain: in the coordinate domain, on no layer missing the center,
+        and where no unit function of a character through it vanishes."""
+        tol = self.tolerance
+        values = self._values(z, n)[1]
+        n, z, values, *groups = _kept(n, values, tol, z, values, *groups)
+        if n:
+            t = self._torus(values, n)
+            # a point is on a layer iff all of the layer's numerators vanish
+            nums = (_numerators(t, n, rows, roots) for rows, roots in self._far_layers)
+            far = [[max(map(abs, xs)) for xs in zip(*cols)] for cols in nums]
+            n, z, values, *groups = _kept(n, far, tol, z, values, *groups)
+        if n:
+            units = [_unit_column(f._flat, z, values, n) for f, _, _ in self._support_units()]
+            n, *groups = _kept(n, units, tol, *groups)
+        return (n, *groups)
 
     # -- the unit functions --------------------------------------------
 
@@ -477,16 +508,7 @@ class Chart:
 
     def in_chart(self, z) -> bool:
         """True iff z lies in the open chart domain of the model."""
-        values = self.member_character_values(z)
-        if not self._in_domain(values):
-            return False
-        t = self._to_torus(values)
-        for rows, roots in self._far_layers:
-            if all(abs(x) <= self.tolerance for x in _numerators(t, rows, roots)):
-                return False
-        return all(
-            abs(f._at(z, values)) > self.tolerance for f, _, _ in self._support_units()
-        )
+        return self._inside(_column(self._sized(z, "chart point")), 1)[0] == 1
 
     @cached_property
     def _far_layers(self):
@@ -504,15 +526,14 @@ class Chart:
         )
 
     def coordinate_monomial(self, z, base_member: int) -> complex:
-        return _monomials(self._sized(z, "chart point"), (self.below[base_member],))[0]
+        return self._point(z)[0][base_member][0]
 
 
 # -- flat evaluation ----------------------------------------------------
-# Every float path of a chart goes through these.  The column helpers
-# evaluate at n points at once, over one list per quantity (a column,
-# entry s at point s), for the verification sweeps; the scalar ones serve
-# one point.  Each product starts at its scale, or at 1 + 0j, and
-# multiplies in index order, as when the sweep pins were made: another
+# Every float path of a chart goes through these.  They evaluate at n
+# points at once, over one list per quantity (a column, entry s at point
+# s); one point is n = 1.  Each product starts at its scale, or at 1 + 0j,
+# and multiplies in index order, as when the sweep pins were made: another
 # order changes the last bits.
 
 
@@ -539,27 +560,20 @@ def _power_columns(cols, row):
     return (cols[i] if e == 1 else [x**e for x in cols[i]] for i, e in row)
 
 
-def _monomials(z, below) -> list[complex]:
-    """For each index tuple in `below`, the product of those coordinates of z."""
-    out = []
-    for inside in below:
-        prod = 1 + 0j
-        for e in inside:
-            prod *= z[e]
-        out.append(prod)
-    return out
+def _column(point) -> list[list]:
+    """A point as columns of length one."""
+    return [[x] for x in point]
 
 
-def _power_products(values, rows) -> list[complex]:
-    """For each row of (index, exponent) pairs, the product of values[i] ** e
-    (values[i] itself for e == 1, which has the same bits)."""
-    out = []
-    for row in rows:
-        prod = 1 + 0j
-        for i, e in row:
-            prod *= values[i] if e == 1 else values[i] ** e
-        out.append(prod)
-    return out
+def _entry(cols) -> tuple:
+    """The point of columns of length one."""
+    return tuple(col[0] for col in cols)
+
+
+def _power_products(cols, n: int, rows) -> list[list[complex]]:
+    """For each row of (index, exponent) pairs, the column of the products
+    of cols[i] ** e (cols[i] itself for e == 1, which has the same bits)."""
+    return [_product_column(n, 1 + 0j, _power_columns(cols, row)) for row in rows]
 
 
 def _unit_column(flat, z, values, n: int) -> list[complex]:
@@ -573,22 +587,6 @@ def _unit_column(flat, z, values, n: int) -> list[complex]:
     return total
 
 
-def _unit_at(flat, z, values) -> complex:
-    """`_unit_column` at one point: the same products in the same order, on
-    scalars, so with the same bits."""
-    total = 0j
-    for scale, monomial, roots, extra in flat:
-        prod = scale
-        for i, e in monomial:
-            prod *= values[i] if e == 1 else values[i] ** e
-        for i, root in roots:
-            prod *= values[i] - root
-        for e in extra:
-            prod *= z[e]
-        total += prod
-    return total
-
-
 def _linear(c: int, num: int, den: int, k: int, make) -> tuple:
     """(c, make(a, b)) for the angle a / b of each root zeta omega^j != zeta
     of x^k - zeta^k, where zeta has angle num / den and omega^k = 1."""
@@ -597,20 +595,10 @@ def _linear(c: int, num: int, den: int, k: int, make) -> tuple:
     return tuple((c, make((num * k + j * den) % (den * k), den * k)) for j in range(1, k))
 
 
-def _numerators(t, rows, roots) -> list[complex]:
-    """Each character's value at t minus the root of its constant, given the
-    characters as rows of (index, exponent) pairs."""
-    return [x - root for x, root in zip(_power_products(t, rows), roots)]
-
-
-def _to_chart(t, rows, roots, succ, tolerance) -> tuple[complex, ...]:
-    """Chart coordinates of the torus point t by successor ratios, given the
-    basis rows as (index, exponent) pairs and the roots of their constants."""
-    nums = _numerators(t, rows, roots)
-    for i, j in enumerate(succ):
-        if j is not None and abs(nums[j]) <= tolerance:
-            raise OnDivisor(f"coordinate {i}: successor character sits on its divisor")
-    return tuple(x if j is None else x / nums[j] for x, j in zip(nums, succ))
+def _numerators(t, n: int, rows, roots) -> list[list[complex]]:
+    """The column of each character, a row of (index, exponent) pairs, at
+    the n torus points t, minus the root of its constant."""
+    return [[x - root for x in col] for col, root in zip(_power_products(t, n, rows), roots)]
 
 
 def build_chart(
@@ -705,7 +693,7 @@ def _target_coordinates(source, target, z, t):
     """The target's successor ratios at the torus point t, each one whose
     denominator vanishes computed through the source chart's unit functions."""
     phi = source.point_coordinates
-    nums = _numerators(t, target._basis_sparse, target._roots)
+    nums = _entry(_numerators(_column(t), 1, target._basis_sparse, target._roots))
     out = []
     for i, j in enumerate(target.succ):
         if j is None:
@@ -907,13 +895,13 @@ def _sample_columns(rng, rank: int, samples: int) -> list[list[complex]]:
 
 def _sample_point(rng, rank: int) -> tuple[complex, ...]:
     """A random chart point, drawn as by `_sample_columns`."""
-    return tuple(col[0] for col in _sample_columns(rng, rank, 1))
+    return _entry(_sample_columns(rng, rank, 1))
 
 
 def _kept(n: int, tested, tol: float, *groups):
     """(count, *groups) over the n samples at which no column of `tested`
     has modulus <= tol."""
-    if all(min(map(abs, col)) > tol for col in tested):
+    if not n or all(min(map(abs, col)) > tol for col in tested):
         return (n, *groups)
     keep = [
         s for s, xs in enumerate(zip(*tested)) if not any(abs(x) <= tol for x in xs)
@@ -928,19 +916,11 @@ def _domain_columns(chart: Chart, rng, samples: int):
     if samples <= 0:
         return None
     z = _sample_columns(rng, chart.rank, samples)
-    monos = [
-        _product_column(samples, 1 + 0j, map(z.__getitem__, inside))
-        for inside in chart.below
-    ]
-    values = [[m + root for m in col] for col, root in zip(monos, chart._roots)]
+    monos, values = chart._values(z, samples)
     n, z, monos, values = _kept(samples, values, chart.tolerance, z, monos, values)
     if not n:
         return None
-    t = [
-        _product_column(n, 1 + 0j, _power_columns(values, row))
-        for row in chart._basis_inv
-    ]
-    return n, z, monos, values, t
+    return n, z, monos, values, chart._torus(values, n)
 
 
 def residual_sweep(chart: Chart, rng, samples: int = 100) -> float:
@@ -958,7 +938,7 @@ def _residual(chart: Chart, rng, samples: int) -> tuple[float, int]:
     rels = []
     for f, row, root in chart._support_units():
         unit = _unit_column(f._flat, z, values, n)
-        value = _product_column(n, 1 + 0j, _power_columns(t, row))
+        value = _power_products(t, n, (row,))[0]
         mono = monos[f.base_member]
         rels += [
             abs(u * m - (v - root)) / (1 + abs(v)) for u, m, v in zip(unit, mono, value)
@@ -978,15 +958,9 @@ def _roundtrip(chart: Chart, rng, samples: int) -> tuple[float, int]:
     if cols is None:
         return 0.0, 0
     n, z, _, _, t = cols
-    nums = [
-        [x - root for x in _product_column(n, 1 + 0j, _power_columns(t, row))]
-        for row, root in zip(chart._basis_sparse, chart._roots)
-    ]
-    successors = [nums[j] for j in chart.succ if j is not None]
-    n, z, nums = _kept(n, successors, chart.tolerance, z, nums)
+    n, back, z = chart._to_chart(t, n, z)
     errs = []
-    for za, xs, j in zip(z, nums, chart.succ):
-        xs = xs if j is None else list(map(truediv, xs, nums[j]))
+    for za, xs in zip(z, back):
         errs += [abs(a - x) / (1 + abs(a)) for a, x in zip(za, xs)]
     return max([0.0, *errs]), n
 
@@ -1005,8 +979,6 @@ def overlap_sweep(
         tries += 1
         z = _sample_point(rng, source.rank)
         try:
-            if not source.in_chart(z):
-                continue
             _, report = transition(source, target, z)
         except (NotInOverlap, OutsideDomain, OnDivisor):
             continue
@@ -1016,26 +988,31 @@ def overlap_sweep(
 
 def cover_sweep(charts, rng, samples: int = 500, tolerance: float = 1e-6) -> int:
     """How many random complement points land in some chart; resamples
-    points that fall numerically close to a hypersurface."""
+    points that fall numerically close to a hypersurface.  The points are
+    drawn first, in the order of a point at a time; then each chart tests,
+    as columns, those that no chart before it covered."""
     if not charts:
         return 0
     arr = charts[0].poset.arrangement
     rows = [_sparse(v) for v in arr.vectors]
     roots = [unit_root(ch.value) for ch in arr.characters]
-    covered = 0
-    done = 0
-    while done < samples:
-        phi = [rng.random() for _ in range(arr.rank)]
-        t = tuple(cmath.exp(2j * cmath.pi * x) for x in phi)
-        if any(abs(x) < tolerance for x in _numerators(t, rows, roots)):
-            continue
-        done += 1
-        for chart in charts:
-            try:
-                z = chart.torus_to_chart(t)
-            except OnDivisor:
-                continue
-            if all(abs(x) > chart.tolerance for x in z) and chart.in_chart(z):
-                covered += 1
-                break
-    return covered
+    rank, t, drawn = arr.rank, [[] for _ in range(arr.rank)], 0
+    while (k := samples - drawn) > 0:
+        # a batch of the points still missing never draws past the last one kept
+        phi = [rng.random() for _ in range(rank * k)]
+        new = [[cmath.exp(2j * cmath.pi * x) for x in phi[i::rank]] for i in range(rank)]
+        near = _numerators(new, k, rows, roots)
+        keep = [s for s in range(k) if all(abs(col[s]) >= tolerance for col in near)]
+        for col, kept in zip(t, new):
+            col += [kept[s] for s in keep]
+        drawn += len(keep)
+    left = drawn
+    for chart in charts:
+        if not left:
+            break
+        n, z, ids = chart._to_chart(t, left, [list(range(left))])
+        n, z, ids = _kept(n, z, chart.tolerance, z, ids)
+        covered = set(chart._inside(z, n, ids)[1][0])
+        rest = [s for s in range(left) if s not in covered]
+        t, left = [[col[s] for s in rest] for col in t], len(rest)
+    return drawn - left

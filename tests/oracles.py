@@ -50,6 +50,11 @@ tests, the adaptedness oracle checks each chart member with a Hermite
 form, and the connected-maximal oracle tests each maximal nested set's
 intersection for connectivity on its own, as `complete_subsets`,
 `build_chart` and `enumerate_maximal` once did.
+The per-point oracles evaluate a chart at one point on scalars, with the
+products in the order of the library's columns, and the cover oracle
+tests each of its points chart by chart in turn, as `in_chart`,
+`chart_to_torus`, `torus_to_chart`, unit functions and `cover_sweep` once
+did.
 """
 
 import cmath
@@ -69,6 +74,8 @@ from toricwonder import (
     NestedSet,
     NotAdapted,
     NotUnimodular,
+    OnDivisor,
+    OutsideDomain,
     Sublattice,
     WeightedCharacter,
     build_poset,
@@ -82,7 +89,7 @@ from toricwonder import (
 from toricwonder.decomposition import _sums_to_saturation
 from toricwonder.nested import _connected, _nested_sets
 from toricwonder.arrangement import make_layer, top_member
-from toricwonder.charts import BetaTerm, ChartFunction, unit_root
+from toricwonder.charts import BetaTerm, ChartFunction, _sparse, unit_root
 from toricwonder.cli import parse_file
 from toricwonder.lattices import (
     express_in_rows,
@@ -1018,3 +1025,139 @@ def oracle_roundtrip_sweep(chart, rng, samples=100) -> float:
         err = max(abs(a - b) / (1 + abs(a)) for a, b in zip(z, z_back))
         worst = max(worst, err)
     return worst
+
+
+# -- the per-point path: one point at a time, on scalars --------------------
+
+
+def _monomials(z, below) -> list[complex]:
+    """For each index tuple in `below`, the product of those coordinates of z."""
+    out = []
+    for inside in below:
+        prod = 1 + 0j
+        for e in inside:
+            prod *= z[e]
+        out.append(prod)
+    return out
+
+
+def _power_products(values, rows) -> list[complex]:
+    """For each row of (index, exponent) pairs, the product of values[i] ** e
+    (values[i] itself for e == 1, which has the same bits)."""
+    out = []
+    for row in rows:
+        prod = 1 + 0j
+        for i, e in row:
+            prod *= values[i] if e == 1 else values[i] ** e
+        out.append(prod)
+    return out
+
+
+def _unit_at(flat, z, values) -> complex:
+    """`_unit_column` at one point: the same products in the same order, on
+    scalars, so with the same bits."""
+    total = 0j
+    for scale, monomial, roots, extra in flat:
+        prod = scale
+        for i, e in monomial:
+            prod *= values[i] if e == 1 else values[i] ** e
+        for i, root in roots:
+            prod *= values[i] - root
+        for e in extra:
+            prod *= z[e]
+        total += prod
+    return total
+
+
+def _numerators(t, rows, roots) -> list[complex]:
+    """Each character's value at t minus the root of its constant, given the
+    characters as rows of (index, exponent) pairs."""
+    return [x - root for x, root in zip(_power_products(t, rows), roots)]
+
+
+def _to_chart(t, rows, roots, succ, tolerance) -> tuple[complex, ...]:
+    """Chart coordinates of the torus point t by successor ratios, given the
+    basis rows as (index, exponent) pairs and the roots of their constants."""
+    nums = _numerators(t, rows, roots)
+    for i, j in enumerate(succ):
+        if j is not None and abs(nums[j]) <= tolerance:
+            raise OnDivisor(f"coordinate {i}: successor character sits on its divisor")
+    return tuple(x if j is None else x / nums[j] for x, j in zip(nums, succ))
+
+
+def oracle_member_values(chart, z) -> list[complex]:
+    """`Chart.member_character_values` at one point."""
+    below = _monomials(z, chart.below)
+    return [m + root for m, root in zip(below, chart._roots)]
+
+
+def oracle_chart_to_torus(chart, z) -> tuple[complex, ...]:
+    """`Chart.chart_to_torus` at one point."""
+    values = oracle_member_values(chart, z)
+    if not all(abs(v) > chart.tolerance for v in values):
+        raise OutsideDomain("a torus coordinate would vanish")
+    return tuple(_power_products(values, chart._basis_inv))
+
+
+def oracle_point_to_chart(chart, t) -> tuple[complex, ...]:
+    """`Chart.torus_to_chart` at one point; raises OnDivisor."""
+    return _to_chart(t, chart._basis_sparse, chart._roots, chart.succ, chart.tolerance)
+
+
+def oracle_unit_at(f, z) -> complex:
+    """The unit function `f` at the point z."""
+    return _unit_at(f._flat, z, oracle_member_values(f.chart, z))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_far_layers(chart):
+    """(basis rows as (index, exponent) pairs, roots of their values) of
+    each layer that does not contain the chart's center."""
+    return [
+        ([_sparse(row) for row in layer.lattice.basis], [unit_root(v) for v in layer.values])
+        for layer in chart.poset.layers
+        if not layer.contains(chart.center)
+    ]
+
+
+def oracle_in_chart(chart, z) -> bool:
+    """`Chart.in_chart` at one point: the member values, then the layers
+    missing the center, then the unit functions."""
+    values = oracle_member_values(chart, z)
+    if not all(abs(v) > chart.tolerance for v in values):
+        return False
+    t = tuple(_power_products(values, chart._basis_inv))
+    for rows, roots in _oracle_far_layers(chart):
+        if all(abs(x) <= chart.tolerance for x in _numerators(t, rows, roots)):
+            return False
+    return all(
+        abs(_unit_at(f._flat, z, values)) > chart.tolerance
+        for f, _, _ in chart._support_units()
+    )
+
+
+def oracle_cover_sweep(charts, rng, samples=500, tolerance=1e-6) -> int:
+    """`cover_sweep` one point at a time, each tested chart by chart until
+    one covers it."""
+    if not charts:
+        return 0
+    arr = charts[0].poset.arrangement
+    rows = [_sparse(v) for v in arr.vectors]
+    roots = [unit_root(ch.value) for ch in arr.characters]
+    covered = 0
+    done = 0
+    while done < samples:
+        phi = [rng.random() for _ in range(arr.rank)]
+        t = tuple(cmath.exp(2j * cmath.pi * x) for x in phi)
+        if any(abs(x) < tolerance for x in _numerators(t, rows, roots)):
+            continue
+        done += 1
+        for chart in charts:
+            try:
+                z = oracle_point_to_chart(chart, t)
+            except OnDivisor:
+                continue
+            if all(abs(x) > chart.tolerance for x in z) and oracle_in_chart(chart, z):
+                covered += 1
+                break
+    return covered

@@ -544,6 +544,27 @@ class TestFlatTable:
             assert flats == oracle_grown_flats(arr, p)
             assert complete_subsets(arr, Layer(p.lattice, p.values)) == flats
 
+    def test_points_off_the_poset_keep_no_table(self):
+        """`is_complete` at torsion points outside the poset agrees with the
+        closure oracle, and their tables are not kept: asking about them
+        does not grow the poset's cache."""
+        arr = root_system("B", 3)
+        poset, rng = arr._poset, random.Random(97)
+        for p in poset.points:
+            poset.flats_at(p)
+        kept, off = len(poset._flats), 0
+        for _ in range(200):
+            coords = [rng.choice((F(0), F(rng.randrange(97), 97))) for _ in range(arr.rank)]
+            p = point_layer(arr, coords)
+            off += p not in poset
+            ground = localized(arr, p)
+            subsets = [(), ground, tuple(rng.sample(range(len(arr.characters)), 2))]
+            subsets += [tuple(sorted(rng.sample(ground, k))) for k in range(1, len(ground))]
+            for subset in subsets:
+                assert is_complete(arr, p, subset) == oracle_is_complete(arr, p, subset)
+        assert off > 100
+        assert len(poset._flats) == kept
+
     def test_table_of_a_layer_without_support(self):
         """An equal layer built without `support` gets the point's table, in
         either order, and leaves the point's own table as it was."""

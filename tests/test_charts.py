@@ -27,6 +27,7 @@ from toricwonder import (
     build_chart,
     build_poset,
     chart_for_curve,
+    cover_sweep,
     divisor_dim,
     enumerate_maximal,
     irreducible_layers,
@@ -49,15 +50,21 @@ from oracles import (
     ARR_FILES,
     oracle_adapted_basis_rows,
     oracle_chart_basis,
+    oracle_chart_to_torus,
     oracle_check_adapted,
+    oracle_cover_sweep,
     oracle_domain_samples,
     oracle_expand,
+    oracle_in_chart,
     oracle_maximal_constant_member,
+    oracle_member_values,
     oracle_peel_expand,
+    oracle_point_to_chart,
     oracle_residual_sweep,
     oracle_roundtrip_sweep,
     oracle_sample_point,
     oracle_torus_to_chart,
+    oracle_unit_at,
     oracle_unit_terms,
     oracle_unit_value,
     random_arrangement,
@@ -780,6 +787,84 @@ class TestCurveLifting:
                 done += 1
 
 
+def outcome(f, *args):
+    """`f(*args)` with each float written by `float.hex`, or the type of
+    the error it raises."""
+    try:
+        out = f(*args)
+    except Exception as exc:
+        return type(exc)
+    if isinstance(out, bool):
+        return out
+    return [(x.real.hex(), x.imag.hex()) for x in (out if isinstance(out, tuple) else (out,))]
+
+
+class TestOneEvaluator:
+    """The column evaluator at single points and in `cover_sweep`, against
+    the per-point scalar path it replaced."""
+
+    @pytest.fixture(scope="class")
+    def cover_cases(self, bench_atlases, a4_atlas):
+        """(charts, samples) of every bench and example atlas and A4, of
+        their charts of one center and of every other chart, each also
+        with chart tolerance 0.2, which leaves points uncovered; then 0 and
+        1 samples and no chart."""
+        atlases = [fam_atlas for _, (_, fam_atlas) in sorted(bench_atlases.items())]
+        for arr, _ in (bench_atlases[name] for name in ("B3", "G2_tors", "two_lines")):
+            poset = build_poset(arr)
+            atlases.append(atlas(poset, irreducible_layers(poset), tolerance=0.2))
+        cases = []
+        for full in atlases + [a4_atlas]:
+            one_center = [c for c in full if c.center == full[0].center]
+            cases += [(full, 100), (one_center, 100), (full[::2], 100)]
+        return cases + [(atlases[0], 0), (atlases[0], 1), ([], 100)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("tolerance", [1e-6, 0.05])
+    def test_cover_sweep(self, cover_cases, seed, tolerance):
+        """The count and the random state left agree with the per-point
+        oracle; tolerance 0.05 resamples some points near a hypersurface."""
+        below = 0
+        for chart_list, samples in cover_cases:
+            rng, ref = random.Random(f"cover:{seed}"), random.Random(f"cover:{seed}")
+            got = cover_sweep(chart_list, rng, samples, tolerance)
+            assert got == oracle_cover_sweep(chart_list, ref, samples, tolerance)
+            assert rng.getstate() == ref.getstate()
+            below += got < samples
+        assert below >= 9
+
+    def test_single_points(self, bench_atlases):
+        """`in_chart`, `chart_to_torus`, `torus_to_chart` and the unit
+        functions at one point have the oracle's bits, or raise its error,
+        at sampled, near-divisor, on-divisor and out-of-domain points."""
+        rng = random.Random(28)
+        seen = Counter()
+        for _, (_, fam_atlas) in sorted(bench_atlases.items()):
+            for chart in fam_atlas:
+                rank = chart.rank
+                points = [(0j,) * rank, tuple(-r for r in chart._roots)]
+                points += [charts._sample_point(rng, rank) for _ in range(3)]
+                points += [tuple(near_divisor(rng) for _ in range(rank)) for _ in range(2)]
+                points += [tuple(x * (rng.random() < 0.5) for x in charts._sample_point(rng, rank))]
+                tori = [tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(rank))]
+                for z in points:
+                    inside = chart.in_chart(z)
+                    assert inside == oracle_in_chart(chart, z)
+                    t = outcome(chart.chart_to_torus, z)
+                    assert t == outcome(oracle_chart_to_torus, chart, z)
+                    if not isinstance(t, type):
+                        tori.append(chart.chart_to_torus(z))
+                    for f, _, _ in chart._support_units():
+                        assert outcome(f, z) == outcome(oracle_unit_at, f, z)
+                    seen[inside, t if isinstance(t, type) else "torus"] += 1
+                for t in tori:
+                    z = outcome(chart.torus_to_chart, t)
+                    assert z == outcome(oracle_point_to_chart, chart, t)
+                    seen[z if isinstance(z, type) else "chart"] += 1
+        assert seen[True, "torus"] and seen[False, OutsideDomain]
+        assert seen["chart"] and seen[OnDivisor]
+
+
 class TestOverlapPin:
     def test_reports_bit_identical(self, bench_atlases):
         """The `overlap_sweep` reports between consecutive charts with one
@@ -1065,11 +1150,10 @@ class TestEveryChartExpands:
                     assert abs(f(origin)) > 1e-3
                 for _ in range(20):
                     z = tuple(near_divisor(rng) for _ in range(chart.rank))
-                    values = chart.member_character_values(z)
-                    t = chart._to_torus(values)
+                    t = chart.chart_to_torus(z)
                     for f, _, root in chart._support_units():
                         mono = chart.coordinate_monomial(z, f.base_member)
-                        lhs = f._at(z, values) * mono
+                        lhs = f(z) * mono
                         rhs = chart.character_value(t, f.vector) - root
                         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs + root))
                         assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
@@ -1170,17 +1254,15 @@ class TestIntegerExpansion:
             made.clear()
 
     def test_one_point_path(self, family_atlases):
-        """A unit function at one point has the bits of the column path
-        at n = 1."""
+        """A unit function at one point has the bits of the per-term oracle."""
         rng = random.Random(11)
         for chart in family_atlases["B3"]:
             for _ in range(5):
                 z = charts._sample_point(rng, chart.rank)
-                values = chart.member_character_values(z)
+                values = oracle_member_values(chart, z)
                 for f, _, _ in chart._support_units():
-                    col = [[x] for x in z], [[v] for v in values]
-                    want = charts._unit_column(f._flat, *col, 1)[0]
-                    got = f._at(z, values)
+                    want = oracle_unit_value(oracle_unit_terms(chart, f), z, values)
+                    got = f(z)
                     assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
