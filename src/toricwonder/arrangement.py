@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     EmptySubset,
@@ -248,17 +249,46 @@ class LayerPoset:
         """The layers through `p` by support mask, in `Layer.key` order: the
         masks are the flats of the characters through p (`_Local`), and the
         empty flat maps to the ambient torus, which is not a layer.  Only
-        the poset's own points keep their tables."""
+        the poset's own layers keep their tables.
+
+        A layer through p has its support inside p's, and such a layer l
+        holds p iff it holds one point x of p: p is connected and lies in
+        X_{supp p}, inside X_{supp l}, whose component through x is l.  So
+        x is written as integer numerators over one denominator d, and l
+        holds it iff each basis row's pairing with them, mod d, over d,
+        equals l's value on that row, as `Layer.contains` compares them.
+        """
         try:
             return self._flats[p]
         except KeyError:
             own, p = p in self.ids, self._own(p)
+            nums, den = _point_numerators(p)
             table = {0: self.torus}
-            for l in self.layers:
-                # a layer through p has its support inside p's
-                if not l.mask & ~p.mask and l.contains(p):
+            for l, rows in zip(self.layers, self._integer_values):
+                if not l.mask & ~p.mask and all(
+                    sum(map(mul, row, nums)) % den * b == a * den for row, a, b in rows
+                ):
                     table[l.mask] = l
             return self._flats.setdefault(p, table) if own else table
+
+    @cached_property
+    def _integer_values(self) -> tuple:
+        """Per layer, (basis row, numerator, denominator of its value) of
+        each basis row, as `flats_at` reads them."""
+        return tuple(
+            tuple((row, *v.as_integer_ratio()) for row, v in zip(l.lattice.basis, l.values))
+            for l in self.layers
+        )
+
+    @cached_property
+    def _characters(self) -> tuple:
+        """Each character as (its non-zero entries as (index, entry) pairs,
+        the numerator and the denominator of its value), made once per
+        poset for the charts, which read them for every chart."""
+        return tuple(
+            (tuple((i, x) for i, x in enumerate(c.vector) if x), *c.value.as_integer_ratio())
+            for c in self.arrangement.characters
+        )
 
     @cached_property
     def torus(self) -> Layer:
@@ -290,6 +320,20 @@ class LayerPoset:
 
     def __contains__(self, layer: Layer) -> bool:
         return layer in self.ids
+
+
+def _point_numerators(layer: Layer) -> tuple[tuple[int, ...], int]:
+    """A point of the layer as integer numerators over one denominator: a
+    point's own coordinates, else the solution of basis . x = values that
+    is 0 off the pivots, by back-substitution up the echelon basis."""
+    x = list(layer.values)
+    if layer.dim:
+        x = [Fraction(0)] * layer.lattice.ambient_rank
+        for row, v in zip(reversed(layer.lattice.basis), reversed(layer.values)):
+            c = next(j for j, a in enumerate(row) if a)
+            x[c] = (v - sum(map(mul, row[c + 1 :], x[c + 1 :]))) / row[c]
+    den = lcm(*(y.denominator for y in x))
+    return tuple(y.numerator * (den // y.denominator) for y in x), den
 
 
 def build_poset(arr: Arrangement) -> LayerPoset:

@@ -331,8 +331,9 @@ class Chart:
         if n:
             t = self._torus(values, n)
             # a point is on a layer iff all of the layer's numerators vanish
-            nums = (_numerators(t, n, rows, roots) for rows, roots in self._far_layers)
-            far = [[max(map(abs, xs)) for xs in zip(*cols)] for cols in nums]
+            rows, roots, layers = self._far_layers
+            dist = [list(map(abs, col)) for col in _numerators(t, n, rows, roots)]
+            far = [[max(xs) for xs in zip(*(dist[k] for k in ks))] for ks in layers]
             n, z, values, *groups = _kept(n, far, tol, z, values, *groups)
         if n:
             units = [_unit_column(f._flat, z, values, n) for f, _, _ in self._support_units()]
@@ -484,17 +485,16 @@ class Chart:
 
     def _support_units(self):
         """(unit function, sparse row, root of its constant) of each character
-        through the center, in support order; made on the first call."""
+        through the center, in support order; made on the first call, with
+        the rows and values from the poset's table (`LayerPoset._characters`)."""
         if self._units is None:
-            chars = self.poset.arrangement.characters
-            self._units = tuple(
-                (
-                    self.character_unit(c.vector, c.value),
-                    _sparse(c.vector),
-                    self._root(c.value.numerator, c.value.denominator),
-                )
-                for c in (chars[i] for i in self.point_support())
-            )
+            chars, table = self.poset.arrangement.characters, self.poset._characters
+            units = []
+            for i in self.point_support():
+                row, k, d = table[i]
+                f = self.character_unit(chars[i].vector, chars[i].value)
+                units.append((f, row, self._root(k, d)))
+            self._units = tuple(units)
         return self._units
 
     def below_inverse(self, i) -> tuple[int, ...]:
@@ -512,18 +512,19 @@ class Chart:
 
     @cached_property
     def _far_layers(self):
-        """(basis rows as (index, exponent) pairs, roots of their values) of
-        each layer missing the center.  A layer holds the center iff it
-        passes through it, which the center's flat table records by mask."""
+        """(rows, roots, layers): the distinct pairs of a basis row, as
+        (index, exponent) pairs, and the root of its value, over the layers
+        missing the center, and per such layer the indices of its pairs in
+        basis order.  A layer holds the center iff it passes through it,
+        which the center's flat table records by mask."""
         through = self.poset.flats_at(self.center)
-        return tuple(
-            (
-                tuple(map(_sparse, layer.lattice.basis)),
-                tuple(unit_root(v) for v in layer.values),
-            )
-            for layer in self.poset.layers
-            if through.get(layer.mask) is not layer
-        )
+        index, layers = {}, []
+        for layer in self.poset.layers:
+            if through.get(layer.mask) is not layer:
+                pairs = zip(layer.lattice.basis, layer.values)
+                layers.append(tuple(index.setdefault(pair, len(index)) for pair in pairs))
+        rows = tuple(_sparse(row) for row, _ in index)
+        return rows, tuple(unit_root(v) for _, v in index), tuple(layers)
 
     def coordinate_monomial(self, z, base_member: int) -> complex:
         return self._point(z)[0][base_member][0]
@@ -749,33 +750,48 @@ def divisor_dim(poset: LayerPoset, building: BuildingSet, members) -> int | None
 
 @dataclass(frozen=True)
 class CurveGerm:
-    """A polynomial logarithmic germ phi_p + sum s^j v_j based at a point."""
+    """A polynomial logarithmic germ phi_p + sum s^j v_j based at a point.
+
+    The jets are also kept as integer numerators over one denominator
+    (`_den`, `_nums`), so orders and pairings are integer dot products, and
+    each vector's order is computed once per germ (`_orders`).
+    """
 
     point: Layer
     jets: tuple[tuple[Fraction, ...], ...]
+    _den: int = field(init=False, repr=False, compare=False)
+    _nums: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _orders: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.point.dim != 0:
             raise NotAPoint("curve germs are based at point layers")
-        object.__setattr__(
-            self,
-            "jets",
-            tuple(tuple(Fraction(x) for x in v) for v in self.jets),
-        )
+        jets = tuple(tuple(Fraction(x) for x in v) for v in self.jets)
+        object.__setattr__(self, "jets", jets)
         rank = self.point.lattice.ambient_rank
-        for v in self.jets:
+        for j, v in enumerate(jets, 1):
+            # the entries are not shown: str() refuses ints past 4300 digits
             if len(v) != rank:
-                raise InvalidGerm(
-                    f"jet ({', '.join(map(str, v))}) does not have length {rank}"
-                )
+                raise InvalidGerm(f"jet {j} does not have length {rank}")
+        den = lcm(*(x.denominator for v in jets for x in v))
+        nums = tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in jets)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
 
     def order(self, vector):
         """1-based order of vanishing of the character along the germ."""
-        jets = range(1, len(self.jets) + 1)
-        return next((j for j in jets if self.pairing(vector, j) != 0), None)
+        vector = tuple(vector)
+        if vector not in self._orders:
+            jets = range(1, len(self._nums) + 1)
+            self._orders[vector] = next((j for j in jets if self._dot(vector, j)), None)
+        return self._orders[vector]
 
     def pairing(self, vector, j) -> Fraction:
-        return sum(Fraction(x) * y for x, y in zip(vector, self.jets[j - 1]))
+        return Fraction(self._dot(vector, j), self._den)
+
+    def _dot(self, vector, j) -> int:
+        """The pairing with jet j times `_den`."""
+        return sum(map(mul, vector, self._nums[j - 1]))
 
 
 def chart_for_curve(
@@ -871,12 +887,32 @@ def _limit_coordinates(chart: Chart, germ: CurveGerm) -> tuple[complex, ...]:
         if ni is None or ni > nj:
             out.append(0j)
         elif ni == nj:
-            num = chart._roots[i] * germ.pairing(chart.basis[i], ni)
-            den = chart._roots[j] * germ.pairing(chart.basis[j], nj)
-            out.append(num / den)
+            out.append(_limit_ratio(chart, germ, i, j, ni))
         else:
             raise InvalidGerm("the germ has no limit in the selected chart")
     return tuple(out)
+
+
+def _limit_ratio(chart: Chart, germ: CurveGerm, i: int, j: int, h: int) -> complex:
+    """zeta_i p_i / (zeta_j p_j), p_k the pairing of basis row k with jet h,
+    or InvalidGerm if it does not fit in a float.
+
+    Both pairings are scaled by the power of two that brings p_j near 1
+    before they are rounded to floats.  Where they are normal floats that
+    changes no bit of the quotient, and it keeps a huge or tiny common
+    scale of the jet from overflowing or vanishing on the way."""
+    den = germ._den
+    a, b = germ._dot(chart.basis[i], h), germ._dot(chart.basis[j], h)
+    k = abs(b).bit_length() - den.bit_length()
+    up, down = (1 << -k, den) if k < 0 else (1, den << k)
+    try:
+        x = a * up / down
+        z = chart._roots[i] * complex(x) / (chart._roots[j] * complex(b * up / down))
+        if x and cmath.isfinite(z):
+            return z
+    except OverflowError:
+        pass
+    raise InvalidGerm(f"limit coordinate {i} of the germ does not fit in a float")
 
 
 # -- verification sweeps ------------------------------------------------

@@ -1161,3 +1161,26 @@ def oracle_cover_sweep(charts, rng, samples=500, tolerance=1e-6) -> int:
                 covered += 1
                 break
     return covered
+
+
+def oracle_flats_at(poset, p):
+    """`LayerPoset.flats_at` by an exact `Layer.contains` scan: the layers
+    holding p, by support mask, with the ambient torus under 0."""
+    p = poset._own(p)
+    table = {0: poset.torus}
+    for layer in poset.layers:
+        if not layer.mask & ~p.mask and layer.contains(p):
+            table[layer.mask] = layer
+    return table
+
+
+def oracle_germ_pairing(germ, vector, j) -> Fraction:
+    """The pairing of the character with jet j of the germ, in `Fraction`s."""
+    return sum(Fraction(x) * y for x, y in zip(vector, germ.jets[j - 1]))
+
+
+def oracle_germ_order(germ, vector):
+    """1-based order of vanishing of the character along the germ, or None,
+    from `oracle_germ_pairing`."""
+    jets = range(1, len(germ.jets) + 1)
+    return next((j for j in jets if oracle_germ_pairing(germ, vector, j) != 0), None)

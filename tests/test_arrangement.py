@@ -39,6 +39,7 @@ from oracles import (
     oracle_closure,
     oracle_characteristic_polynomial,
     oracle_complete_subsets,
+    oracle_flats_at,
     oracle_frame_walk,
     oracle_grown_flats,
     oracle_hasse_edges,
@@ -504,6 +505,24 @@ def _mask(subset):
     return sum(1 << i for i in subset)
 
 
+def check_flat_tables(poset, rng):
+    """`flats_at`, which pairs basis rows with one point of the layer in
+    integers, equals the `Layer.contains` scan, entry for entry and in
+    order, at every layer of the poset, own and bare (built without its
+    support), and at torsion points on some or no hypersurfaces."""
+    arr = poset.arrangement
+    off = [
+        point_layer(arr, [F(rng.randrange(d), d) for _ in range(arr.rank)])
+        for d in (1, 2, 3, 4, 6, 12)
+    ]
+    for p in list(poset.layers) + off:
+        want = list(oracle_flats_at(poset, p).items())
+        for q in (p, Layer(p.lattice, p.values)):
+            got = list(poset.flats_at(q).items())
+            assert [m for m, _ in got] == [m for m, _ in want], (p, q)
+            assert all(a is b for (_, a), (_, b) in zip(got, want)), (p, q)
+
+
 class TestFlatTable:
     """`LayerPoset.flats_at`, which `complete_subsets` reads, against the
     flats grown by closure, the subset scan and the layer built from each
@@ -564,6 +583,15 @@ class TestFlatTable:
                 assert is_complete(arr, p, subset) == oracle_is_complete(arr, p, subset)
         assert off > 100
         assert len(poset._flats) == kept
+
+    @pytest.mark.parametrize("case", ORACLE_CASES + RANK_FOUR_CASES)
+    def test_integer_table_matches_contains_scan(self, case):
+        check_flat_tables(build_poset(case_arrangement(case)), random.Random(7))
+
+    def test_integer_table_random_arrangements(self):
+        rng = random.Random(35)
+        for _ in range(120):
+            check_flat_tables(build_poset(random_arrangement(rng)), rng)
 
     def test_table_of_a_layer_without_support(self):
         """An equal layer built without `support` gets the point's table, in

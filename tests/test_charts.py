@@ -14,6 +14,7 @@ from toricwonder import (
     CurveGerm,
     InvalidGerm,
     Layer,
+    LayerPoset,
     NestedSet,
     NotAdapted,
     NotInBuildingSet,
@@ -55,6 +56,8 @@ from oracles import (
     oracle_cover_sweep,
     oracle_domain_samples,
     oracle_expand,
+    oracle_germ_order,
+    oracle_germ_pairing,
     oracle_in_chart,
     oracle_maximal_constant_member,
     oracle_member_values,
@@ -504,7 +507,7 @@ class TestChartTables:
         assert not calls
         for chart in fresh:
             far = [l for l in poset.layers if not l.contains(chart.center)]
-            assert len(chart._far_layers) == len(far)
+            assert len(chart._far_layers[2]) == len(far)
 
     def test_second_in_chart(self, doubled_square, monkeypatch):
         arr, poset, building = doubled_square
@@ -1298,3 +1301,87 @@ class TestFormerCrashGerms:
             path = str(FAMILIES / "A3.arr")
             assert main(["curve", path, "--point", g["point"], f"--jets={g['jets']}"]) == 0
             assert "limit chart" in capsys.readouterr().out
+
+
+class TestIntegerGerm:
+    """`CurveGerm` orders and pairings are integer dot products over the
+    jets' common denominator, computed once per vector."""
+
+    def test_order_and_pairing_match_the_fraction_oracles(self):
+        rng = random.Random(35)
+        p = point_layer(root_system("B", 3), (0, 0, 0))
+        dens = (1, 2, 3, 7, 10**30)
+        for _ in range(300):
+            jets = tuple(
+                tuple(F(rng.randint(-3, 3), rng.choice(dens)) for _ in range(3))
+                for _ in range(rng.randint(1, 4))
+            )
+            germ = CurveGerm(p, jets)
+            for _ in range(5):
+                v = tuple(rng.randint(-2, 2) for _ in range(3))
+                assert germ.order(v) == oracle_germ_order(germ, v)
+                for j in range(1, len(jets) + 1):
+                    got = germ.pairing(v, j)
+                    assert type(got) is F and got == oracle_germ_pairing(germ, v, j)
+
+    def test_order_once_per_vector(self, monkeypatch):
+        """Each distinct vector's order is computed once, though the flag,
+        the basis fit and the limit ask for it again."""
+        arr, _ = parse_file(str(FAMILIES / "A3.arr"))
+        poset = build_poset(arr)
+        building = irreducible_layers(poset)
+        germ = CurveGerm(poset.layers[13], ((1, -1, 0), (-2, 0, 2), (1, 2, 1)))
+        asked, written, order = Counter(), Counter(), CurveGerm.order
+
+        def counted(germ, vector):
+            asked[tuple(vector)] += 1
+            return order(germ, vector)
+
+        class Written(dict):
+            def __setitem__(self, key, value):
+                written[key] += 1
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(CurveGerm, "order", counted)
+        object.__setattr__(germ, "_orders", Written())
+        chart_for_curve(poset, building, germ)
+        assert sum(asked.values()) > len(asked)
+        assert written == Counter(dict.fromkeys(asked, 1))
+
+    def test_a3_curve_queries_in_integers(self, monkeypatch, capsys):
+        """A curve query on A3 makes no `Layer.contains` call inside
+        `flats_at` and makes no `Fraction` inside `CurveGerm.order`."""
+        within, counts = [], Counter()
+
+        def entered(name, fn):
+            def wrapper(*args, **kwargs):
+                within.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    within.pop()
+
+            return wrapper
+
+        contains, new = Layer.contains, F.__new__
+
+        def counted_contains(self, other):
+            counts["contains"] += "flats_at" in within
+            return contains(self, other)
+
+        def counted_new(cls, *args, **kwargs):
+            counts["fraction"] += "order" in within
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(LayerPoset, "flats_at", entered("flats_at", LayerPoset.flats_at))
+        monkeypatch.setattr(CurveGerm, "order", entered("order", CurveGerm.order))
+        monkeypatch.setattr(Layer, "contains", counted_contains)
+        monkeypatch.setattr(F, "__new__", counted_new)
+        expected = json.loads((FAMILIES.parent / "expected.json").read_text())
+        codes = Counter()
+        for g in expected["curve_pool"]["A3"]:
+            argv = ["curve", str(FAMILIES / "A3.arr"), "--point", g["point"], f"--jets={g['jets']}"]
+            codes[main(argv)] += 1
+        capsys.readouterr()
+        assert codes[0] >= 20 and set(codes) <= {0, 1}
+        assert counts == Counter()

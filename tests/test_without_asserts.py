@@ -136,6 +136,16 @@ def test_tolerance_finite_positive(optimize, tolerance):
 
 
 @pytest.mark.parametrize("optimize", [False, True])
+def test_limit_past_float_range(optimize):
+    # the jets' common scale cancels; the limit coordinate itself is 1e400 / 2
+    argv = ("curve", "perfbench/families/A3.arr", "--point", "L13", "--jets=1e400,2,3")
+    proc = run("-m", "toricwonder.cli", *argv, optimize=optimize)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: limit coordinate 0 of the germ does not fit in a float\n"
+
+
+@pytest.mark.parametrize("optimize", [False, True])
 def test_not_utf8(optimize, tmp_path):
     path = tmp_path / "bad.arr"
     path.write_bytes(b"rank = 1\nchar = [1] ; 0 # \xff\n")
